@@ -7,13 +7,13 @@
 //! the per-user index answers similar-user queries — timed per scope, the
 //! pruned cohort fast path against the exact full scan (p50/p99 ms). The
 //! numbers land in the `"cohorts"` section of `BENCH_pipeline.json`,
-//! spliced next to the pipeline, serve, ingest, and motif sections.
+//! next to the pipeline, serve, ingest, and motif sections.
 //!
 //! Knobs (environment):
 //! - `PM_BENCH_SMOKE=1` — quick mode on the tiny dataset. Anything else
 //!   (or unset) mines the evaluation-scale dataset.
-//! - `PM_BENCH_OUT=<path>` — the JSON to write or splice into (default:
-//!   `BENCH_pipeline.json` in the current directory).
+//! - `PM_BENCH_OUT=<path>` — the report to record the section in
+//!   (default: `BENCH_pipeline.json` in the current directory).
 
 use pervasive_miner::cluster::GaussianKernel;
 use pervasive_miner::cohort::{
@@ -58,8 +58,7 @@ fn query_samples(
 
 fn main() {
     let smoke = std::env::var("PM_BENCH_SMOKE").is_ok_and(|v| v.trim() == "1");
-    let out_path =
-        std::env::var("PM_BENCH_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
+    let out_path = pm_bench::report::out_path();
     let (ds, params, mode, max_queries) = if smoke {
         (
             pm_bench::timing_dataset(),
@@ -172,19 +171,5 @@ fn main() {
     }
     section.push_str("\n  }");
 
-    // Splice into the pipeline bench's report when one is present and does
-    // not already carry a cohorts section; otherwise write a standalone
-    // document so the bench works in isolation too.
-    let spliced = std::fs::read_to_string(&out_path)
-        .ok()
-        .filter(|doc| doc.ends_with("\n}\n") && !doc.contains("\"cohorts\""))
-        .map(|doc| {
-            let body = doc.trim_end_matches("\n}\n");
-            format!("{body},\n  \"cohorts\": {section}\n}}\n")
-        });
-    let doc = spliced.unwrap_or_else(|| {
-        format!("{{\n  \"schema\": \"pm-bench/1\",\n  \"cohorts\": {section}\n}}\n")
-    });
-    std::fs::write(&out_path, doc).expect("write bench report");
-    eprintln!("wrote {out_path}");
+    pm_bench::report::upsert(&out_path, &[("cohorts", &section)]);
 }

@@ -6,14 +6,14 @@
 //! measured path covers transport ordering, incremental detection,
 //! recognition against the snapshot, and the transition window. The
 //! sustained fixes/second lands in the `"ingest"` section of
-//! `BENCH_pipeline.json`, spliced next to the offline pipeline and serve
-//! latency sections.
+//! `BENCH_pipeline.json`, next to the offline pipeline and serve latency
+//! sections.
 //!
 //! Knobs (environment):
 //! - `PM_BENCH_SMOKE=1` — quick mode: tiny dataset, ~4k fixes. Anything
 //!   else (or unset) replays the evaluation-scale dataset with ~48k fixes.
-//! - `PM_BENCH_OUT=<path>` — the JSON to write or splice into (default:
-//!   `BENCH_pipeline.json` in the current directory).
+//! - `PM_BENCH_OUT=<path>` — the report to record the section in
+//!   (default: `BENCH_pipeline.json` in the current directory).
 
 use pervasive_miner::core::recognize::stay_points_of;
 use pervasive_miner::obs::json;
@@ -57,8 +57,7 @@ fn user_fixes(
 
 fn main() {
     let smoke = std::env::var("PM_BENCH_SMOKE").is_ok_and(|v| v.trim() == "1");
-    let out_path =
-        std::env::var("PM_BENCH_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
+    let out_path = pm_bench::report::out_path();
     let (ds, params, users, legs, mode) = if smoke {
         (
             pm_bench::timing_dataset(),
@@ -168,19 +167,5 @@ fn main() {
     let _ = write!(section, ",\n    \"transitions\": {transitions}");
     section.push_str("\n  }");
 
-    // Splice into the pipeline bench's report when one is present and does
-    // not already carry an ingest section; otherwise write a standalone
-    // document so the bench works in isolation too.
-    let spliced = std::fs::read_to_string(&out_path)
-        .ok()
-        .filter(|doc| doc.ends_with("\n}\n") && !doc.contains("\"ingest\""))
-        .map(|doc| {
-            let body = doc.trim_end_matches("\n}\n");
-            format!("{body},\n  \"ingest\": {section}\n}}\n")
-        });
-    let doc = spliced.unwrap_or_else(|| {
-        format!("{{\n  \"schema\": \"pm-bench/1\",\n  \"ingest\": {section}\n}}\n")
-    });
-    std::fs::write(&out_path, doc).expect("write bench report");
-    eprintln!("wrote {out_path}");
+    pm_bench::report::upsert(&out_path, &[("ingest", &section)]);
 }

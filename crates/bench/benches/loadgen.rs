@@ -11,7 +11,7 @@
 //! materialized.
 //!
 //! Reported: sustained fixes/second plus p50/p99/p999 of the per-batch
-//! round-trip latency, spliced into the `"loadgen"` section of
+//! round-trip latency, recorded in the `"loadgen"` section of
 //! `BENCH_pipeline.json` next to the offline pipeline, serve-latency, and
 //! single-engine ingest sections.
 //!
@@ -19,8 +19,8 @@
 //! - `PM_BENCH_SMOKE=1` — quick mode: ~20k users, ~160k fixes. Anything
 //!   else (or unset) runs the full 1M-user / 8M-fix stream.
 //! - `PM_LOADGEN_SHARDS=<n>` — shard count (default 8).
-//! - `PM_BENCH_OUT=<path>` — the JSON to write or splice into (default:
-//!   `BENCH_pipeline.json` in the current directory).
+//! - `PM_BENCH_OUT=<path>` — the report to record the section in
+//!   (default: `BENCH_pipeline.json` in the current directory).
 
 use pervasive_miner::core::recognize::stay_points_of;
 use pervasive_miner::obs::{json, Obs};
@@ -55,8 +55,7 @@ fn main() {
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(8);
-    let out_path =
-        std::env::var("PM_BENCH_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
+    let out_path = pm_bench::report::out_path();
     let (ds, params, users, mode) = if smoke {
         (
             pm_bench::timing_dataset(),
@@ -208,19 +207,5 @@ fn main() {
     let _ = write!(section, ",\n    \"transitions\": {transitions}");
     section.push_str("\n  }");
 
-    // Splice into the pipeline bench's report when one is present and does
-    // not already carry a loadgen section; otherwise write a standalone
-    // document so the bench works in isolation too.
-    let spliced = std::fs::read_to_string(&out_path)
-        .ok()
-        .filter(|doc| doc.ends_with("\n}\n") && !doc.contains("\"loadgen\""))
-        .map(|doc| {
-            let body = doc.trim_end_matches("\n}\n");
-            format!("{body},\n  \"loadgen\": {section}\n}}\n")
-        });
-    let doc = spliced.unwrap_or_else(|| {
-        format!("{{\n  \"schema\": \"pm-bench/1\",\n  \"loadgen\": {section}\n}}\n")
-    });
-    std::fs::write(&out_path, doc).expect("write bench report");
-    eprintln!("wrote {out_path}");
+    pm_bench::report::upsert(&out_path, &[("loadgen", &section)]);
 }

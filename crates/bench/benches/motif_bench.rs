@@ -6,14 +6,13 @@
 //! distribution over canonical forms aggregates into the ranked motif
 //! table — the same computation behind `pervasive-miner motifs`. The
 //! timing and class counts land in the `"motifs"` section of
-//! `BENCH_pipeline.json`, spliced next to the pipeline, serve, and ingest
-//! sections.
+//! `BENCH_pipeline.json`, next to the pipeline, serve, and ingest sections.
 //!
 //! Knobs (environment):
 //! - `PM_BENCH_SMOKE=1` — quick mode on the tiny dataset. Anything else
 //!   (or unset) mines the evaluation-scale dataset.
-//! - `PM_BENCH_OUT=<path>` — the JSON to write or splice into (default:
-//!   `BENCH_pipeline.json` in the current directory).
+//! - `PM_BENCH_OUT=<path>` — the report to record the section in
+//!   (default: `BENCH_pipeline.json` in the current directory).
 
 use pervasive_miner::cluster::GaussianKernel;
 use pervasive_miner::core::recognize::{recognize_stay_point_unit, stay_points_of};
@@ -26,8 +25,7 @@ use std::time::Instant;
 
 fn main() {
     let smoke = std::env::var("PM_BENCH_SMOKE").is_ok_and(|v| v.trim() == "1");
-    let out_path =
-        std::env::var("PM_BENCH_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
+    let out_path = pm_bench::report::out_path();
     let (ds, params, mode) = if smoke {
         (
             pm_bench::timing_dataset(),
@@ -107,19 +105,5 @@ fn main() {
     let _ = write!(section, ",\n    \"days_per_sec\": {days_per_sec:.0}");
     section.push_str("\n  }");
 
-    // Splice into the pipeline bench's report when one is present and does
-    // not already carry a motifs section; otherwise write a standalone
-    // document so the bench works in isolation too.
-    let spliced = std::fs::read_to_string(&out_path)
-        .ok()
-        .filter(|doc| doc.ends_with("\n}\n") && !doc.contains("\"motifs\""))
-        .map(|doc| {
-            let body = doc.trim_end_matches("\n}\n");
-            format!("{body},\n  \"motifs\": {section}\n}}\n")
-        });
-    let doc = spliced.unwrap_or_else(|| {
-        format!("{{\n  \"schema\": \"pm-bench/1\",\n  \"motifs\": {section}\n}}\n")
-    });
-    std::fs::write(&out_path, doc).expect("write bench report");
-    eprintln!("wrote {out_path}");
+    pm_bench::report::upsert(&out_path, &[("motifs", &section)]);
 }

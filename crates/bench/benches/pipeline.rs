@@ -8,12 +8,12 @@
 //! Knobs (environment):
 //! - `PM_BENCH_SMOKE=1` — quick mode: tiny dataset, 3 iterations, seconds of
 //!   wall time. Anything else (or unset) runs the evaluation-scale dataset.
-//! - `PM_BENCH_FULL=1` — splice mode: run the evaluation-scale dataset and
-//!   splice the result into an existing report as a `"full"` section
-//!   (leaving the smoke stages in place), or write a standalone document
-//!   when none exists. This is how CI keeps *both* scales tracked in one
-//!   per-commit file; it takes precedence over `PM_BENCH_SMOKE`.
-//! - `PM_BENCH_OUT=<path>` — where to write the JSON (default:
+//! - `PM_BENCH_FULL=1` — run the evaluation-scale dataset and record the
+//!   result as the report's `"full"` section, leaving the smoke stages and
+//!   every other section in place. This is how CI keeps *both* scales
+//!   tracked in one per-commit file; it takes precedence over
+//!   `PM_BENCH_SMOKE`.
+//! - `PM_BENCH_OUT=<path>` — the report to record the stages in (default:
 //!   `BENCH_pipeline.json` in the current directory).
 
 use pervasive_miner::core::recognize::stay_points_of;
@@ -122,16 +122,14 @@ fn stages_json(stages: &[Stage], indent: &str) -> String {
 
 fn main() {
     let env_on = |name: &str| std::env::var(name).is_ok_and(|v| v.trim() == "1");
-    let out_path =
-        std::env::var("PM_BENCH_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
+    let out_path = pm_bench::report::out_path();
 
     if env_on("PM_BENCH_FULL") {
-        // Splice mode: evaluation-scale stages recorded *alongside* an
-        // existing (typically smoke) report, mirroring how the serve and
-        // ingest benches attach their sections.
+        // Evaluation-scale stages recorded as a `"full"` section next to
+        // the (typically smoke) top-level stages.
         let (ds, params, iters) = (pm_bench::bench_dataset(), pm_bench::bench_params(), 5);
         eprintln!(
-            "pipeline bench (full splice): {} POIs, {} trajectories, {iters} iteration(s)",
+            "pipeline bench (full): {} POIs, {} trajectories, {iters} iteration(s)",
             ds.pois.len(),
             ds.trajectories.len()
         );
@@ -146,18 +144,7 @@ fn main() {
         );
         section.push_str("\n  }");
 
-        let spliced = std::fs::read_to_string(&out_path)
-            .ok()
-            .filter(|doc| doc.ends_with("\n}\n") && !doc.contains("\"full\""))
-            .map(|doc| {
-                let body = doc.trim_end_matches("\n}\n");
-                format!("{body},\n  \"full\": {section}\n}}\n")
-            });
-        let doc = spliced.unwrap_or_else(|| {
-            format!("{{\n  \"schema\": \"pm-bench/1\",\n  \"full\": {section}\n}}\n")
-        });
-        std::fs::write(&out_path, doc).expect("write bench report");
-        eprintln!("wrote {out_path}");
+        pm_bench::report::upsert(&out_path, &[("full", &section)]);
         return;
     }
 
@@ -184,12 +171,11 @@ fn main() {
     );
     let stages = run_stages(&ds, &params, iters);
 
-    let mut doc = String::from("{\n  \"schema\": \"pm-bench/1\"");
-    let _ = write!(doc, ",\n  \"mode\": \"{mode}\"");
-    let _ = write!(doc, ",\n  \"iters\": {iters}");
-    let _ = write!(doc, ",\n  \"stages\": {}", stages_json(&stages, "  "));
-    doc.push_str("\n}\n");
-
-    std::fs::write(&out_path, doc).expect("write bench report");
-    eprintln!("wrote {out_path}");
+    let mode = format!("\"{mode}\"");
+    let iters = iters.to_string();
+    let stages = stages_json(&stages, "  ");
+    pm_bench::report::upsert(
+        &out_path,
+        &[("mode", &mode), ("iters", &iters), ("stages", &stages)],
+    );
 }

@@ -3,16 +3,15 @@
 //! Mines an artifact, serves it over a real loopback socket, and times
 //! complete HTTP round-trips (connect, request, response) against the three
 //! read endpoints. Medians land in the `"serve"` section of
-//! `BENCH_pipeline.json`: when the pipeline bench already wrote that file
-//! this bench splices its section in, so one JSON document carries both the
-//! offline and the online performance trajectory.
+//! `BENCH_pipeline.json`, next to the pipeline bench's stages, so one JSON
+//! document carries both the offline and the online performance trajectory.
 //!
 //! Knobs (environment):
 //! - `PM_BENCH_SMOKE=1` — quick mode: tiny dataset, 25 requests per
 //!   endpoint. Anything else (or unset) runs the evaluation-scale dataset
 //!   with 200 requests per endpoint.
-//! - `PM_BENCH_OUT=<path>` — the JSON to write or splice into (default:
-//!   `BENCH_pipeline.json` in the current directory).
+//! - `PM_BENCH_OUT=<path>` — the report to record the section in
+//!   (default: `BENCH_pipeline.json` in the current directory).
 
 use pervasive_miner::core::recognize::stay_points_of;
 use pervasive_miner::obs::json;
@@ -88,8 +87,7 @@ fn section_json(mode: &str, requests: usize, endpoints: &[Endpoint]) -> String {
 
 fn main() {
     let smoke = std::env::var("PM_BENCH_SMOKE").is_ok_and(|v| v.trim() == "1");
-    let out_path =
-        std::env::var("PM_BENCH_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
+    let out_path = pm_bench::report::out_path();
     let (ds, params, requests, mode) = if smoke {
         (
             pm_bench::timing_dataset(),
@@ -163,19 +161,5 @@ fn main() {
     }
 
     let section = section_json(mode, requests, &endpoints);
-    // Splice into the pipeline bench's report when one is present and does
-    // not already carry a serve section; otherwise write a standalone
-    // document so the bench works in isolation too.
-    let spliced = std::fs::read_to_string(&out_path)
-        .ok()
-        .filter(|doc| doc.ends_with("\n  ]\n}\n") && !doc.contains("\"serve\""))
-        .map(|doc| {
-            let body = doc.trim_end_matches("\n}\n");
-            format!("{body},\n  \"serve\": {section}\n}}\n")
-        });
-    let doc = spliced.unwrap_or_else(|| {
-        format!("{{\n  \"schema\": \"pm-bench/1\",\n  \"serve\": {section}\n}}\n")
-    });
-    std::fs::write(&out_path, doc).expect("write bench report");
-    eprintln!("wrote {out_path}");
+    pm_bench::report::upsert(&out_path, &[("serve", &section)]);
 }

@@ -2,9 +2,12 @@
 //!
 //! Every bench prints the regenerated rows of its paper table/figure before
 //! the Criterion timing runs, so `cargo bench` output doubles as the
-//! experimental record transcribed into EXPERIMENTS.md.
+//! experimental record transcribed into EXPERIMENTS.md. The timing benches
+//! record their sections in `BENCH_pipeline.json` through [`report`].
 
 use pervasive_miner::prelude::*;
+
+pub mod report;
 
 /// Seed shared by all benches so their printed numbers refer to one world.
 pub const BENCH_SEED: u64 = 2020;

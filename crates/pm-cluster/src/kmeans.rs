@@ -1,192 +1,21 @@
-//! K-Means with k-means++ seeding.
-//!
-//! Ref \[21\]'s hybrid semantic-annotation algorithm "adopts clustering
-//! algorithms (e.g., DB-Scan and K-means) to detect hot regions"; we provide
-//! K-Means so the ROI baseline family is complete and so tests can compare
-//! partitioning strategies.
+//! Planar K-Means checks: the cases the former [`LocalPoint`] K-Means was
+//! tested on, run on [`kmeans_nd`] at `dims = 2`, which replaced it.
 
-use crate::Clustering;
+use crate::{kmeans_nd, KMeansNdParams, KMeansNdResult};
 use pm_geo::LocalPoint;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-/// K-Means parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct KMeansParams {
-    /// Number of clusters.
-    pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iter: usize,
-    /// Convergence tolerance on total centroid movement, in meters.
-    pub tol: f64,
-    /// RNG seed for k-means++ initialization (deterministic runs).
-    pub seed: u64,
-}
-
-impl KMeansParams {
-    /// Creates a parameter set with sensible defaults (100 iterations,
-    /// 1e-4 m tolerance, seed 0).
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        Self {
-            k,
-            max_iter: 100,
-            tol: 1e-4,
-            seed: 0,
-        }
-    }
-
-    /// Overrides the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
-/// Result of a K-Means run.
-#[derive(Debug, Clone)]
-pub struct KMeansResult {
-    /// Flat clustering; every finite point is assigned, while points with
-    /// NaN or infinite coordinates are labelled `None`.
-    pub clustering: Clustering,
-    /// Final centroids, aligned with cluster labels. May hold fewer than
-    /// `k` entries when the input has fewer than `k` points.
-    pub centroids: Vec<LocalPoint>,
-    /// Sum of squared distances of points to their centroid (inertia).
-    pub inertia: f64,
-}
-
-/// Runs Lloyd's algorithm with k-means++ seeding.
-///
-/// Points with NaN or infinite coordinates would collapse every centroid to
-/// NaN, so they are excluded (label `None`) and the finite points partition
-/// as if the corrupt ones were absent.
-pub fn kmeans(points: &[LocalPoint], params: KMeansParams) -> KMeansResult {
-    if let Some((subset, original)) = crate::finite_subset(points) {
-        let sub = kmeans(&subset, params);
-        let mut labels = vec![None; points.len()];
-        for (k, &i) in original.iter().enumerate() {
-            labels[i] = sub.clustering.labels[k];
-        }
-        return KMeansResult {
-            clustering: Clustering {
-                labels,
-                n_clusters: sub.clustering.n_clusters,
-            },
-            centroids: sub.centroids,
-            inertia: sub.inertia,
-        };
-    }
-
-    let n = points.len();
-    let k = params.k.min(n);
-    if k == 0 {
-        return KMeansResult {
-            clustering: Clustering {
-                labels: vec![None; n],
-                n_clusters: 0,
-            },
-            centroids: Vec::new(),
-            inertia: 0.0,
-        };
-    }
-
-    let mut centroids = plus_plus_init(points, k, params.seed);
-    let mut labels = vec![0usize; n];
-
-    for _ in 0..params.max_iter {
-        // Assignment step.
-        for (i, p) in points.iter().enumerate() {
-            labels[i] = nearest_centroid(p, &centroids);
-        }
-        // Update step.
-        let mut sums = vec![LocalPoint::ORIGIN; k];
-        let mut counts = vec![0usize; k];
-        for (i, p) in points.iter().enumerate() {
-            sums[labels[i]] = sums[labels[i]] + *p;
-            counts[labels[i]] += 1;
-        }
-        let mut movement = 0.0;
-        for c in 0..k {
-            if counts[c] == 0 {
-                continue; // keep the old centroid for empty clusters
-            }
-            let next = sums[c] / counts[c] as f64;
-            movement += next.distance(&centroids[c]);
-            centroids[c] = next;
-        }
-        if movement < params.tol {
-            break;
-        }
-    }
-
-    // Final assignment + inertia.
-    let mut inertia = 0.0;
-    for (i, p) in points.iter().enumerate() {
-        labels[i] = nearest_centroid(p, &centroids);
-        inertia += p.distance_sq(&centroids[labels[i]]);
-    }
-
-    KMeansResult {
-        clustering: Clustering {
-            labels: labels.into_iter().map(Some).collect(),
-            n_clusters: k,
-        },
-        centroids,
-        inertia,
-    }
-}
-
-fn nearest_centroid(p: &LocalPoint, centroids: &[LocalPoint]) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (c, m) in centroids.iter().enumerate() {
-        let d = p.distance_sq(m);
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    best
-}
-
-/// k-means++ seeding: first centroid uniform, subsequent ones sampled
-/// proportionally to squared distance from the nearest chosen centroid.
-fn plus_plus_init(points: &[LocalPoint], k: usize, seed: u64) -> Vec<LocalPoint> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut centroids = Vec::with_capacity(k);
-    centroids.push(points[rng.gen_range(0..points.len())]);
-    let mut d_sq: Vec<f64> = points
-        .iter()
-        .map(|p| p.distance_sq(&centroids[0]))
+/// K-Means over planar points; the centroids come back as points.
+fn kmeans(points: &[LocalPoint], params: KMeansNdParams) -> (KMeansNdResult, Vec<LocalPoint>) {
+    let data: Vec<f64> = points.iter().flat_map(|p| [p.x, p.y]).collect();
+    let r = kmeans_nd(&data, 2, params);
+    let centroids = r
+        .centroids
+        .chunks(2)
+        .map(|c| LocalPoint::new(c[0], c[1]))
         .collect();
-    while centroids.len() < k {
-        let total: f64 = d_sq.iter().sum();
-        let next = if total <= f64::EPSILON {
-            // All remaining points coincide with existing centroids.
-            points[rng.gen_range(0..points.len())]
-        } else {
-            let mut target = rng.gen_range(0.0..total);
-            let mut chosen = points.len() - 1;
-            for (i, &d) in d_sq.iter().enumerate() {
-                if target < d {
-                    chosen = i;
-                    break;
-                }
-                target -= d;
-            }
-            points[chosen]
-        };
-        centroids.push(next);
-        for (i, p) in points.iter().enumerate() {
-            d_sq[i] = d_sq[i].min(p.distance_sq(&next));
-        }
-    }
-    centroids
+    (r, centroids)
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -204,15 +33,15 @@ mod tests {
     fn separates_two_blobs() {
         let mut pts = blob(0.0, 0.0, 50, 20.0);
         pts.extend(blob(1_000.0, 0.0, 50, 20.0));
-        let r = kmeans(&pts, KMeansParams::new(2));
-        assert_eq!(r.clustering.n_clusters, 2);
-        let l0 = r.clustering.labels[0];
-        assert!(r.clustering.labels[..50].iter().all(|l| *l == l0));
-        assert!(r.clustering.labels[50..].iter().all(|l| *l != l0));
+        let (r, centroids) = kmeans(&pts, KMeansNdParams::new(2));
+        assert_eq!(r.n_clusters, 2);
+        let l0 = r.labels[0];
+        assert!(r.labels[..50].iter().all(|l| *l == l0));
+        assert!(r.labels[50..].iter().all(|l| *l != l0));
         // Centroids near blob centers.
         let mut near_origin = false;
         let mut near_far = false;
-        for c in &r.centroids {
+        for c in &centroids {
             near_origin |= c.distance(&LocalPoint::ORIGIN) < 20.0;
             near_far |= c.distance(&LocalPoint::new(1_000.0, 0.0)) < 20.0;
         }
@@ -222,16 +51,16 @@ mod tests {
     #[test]
     fn k_larger_than_n_is_clamped() {
         let pts = vec![LocalPoint::new(0.0, 0.0), LocalPoint::new(10.0, 0.0)];
-        let r = kmeans(&pts, KMeansParams::new(5));
-        assert_eq!(r.clustering.n_clusters, 2);
+        let (r, _) = kmeans(&pts, KMeansNdParams::new(5));
+        assert_eq!(r.n_clusters, 2);
         assert!(r.inertia < 1e-9);
     }
 
     #[test]
     fn empty_input() {
-        let r = kmeans(&[], KMeansParams::new(3));
-        assert_eq!(r.clustering.n_clusters, 0);
-        assert!(r.centroids.is_empty());
+        let (r, centroids) = kmeans(&[], KMeansNdParams::new(3));
+        assert_eq!(r.n_clusters, 0);
+        assert!(centroids.is_empty());
     }
 
     #[test]
@@ -241,37 +70,37 @@ mod tests {
             LocalPoint::new(10.0, 0.0),
             LocalPoint::new(5.0, 9.0),
         ];
-        let r = kmeans(&pts, KMeansParams::new(1));
-        assert!(r.centroids[0].distance(&LocalPoint::new(5.0, 3.0)) < 1e-6);
+        let (_, centroids) = kmeans(&pts, KMeansNdParams::new(1));
+        assert!(centroids[0].distance(&LocalPoint::new(5.0, 3.0)) < 1e-6);
     }
 
     #[test]
     fn non_finite_points_are_excluded() {
         let clean = blob(0.0, 0.0, 40, 30.0);
-        let baseline = kmeans(&clean, KMeansParams::new(3).with_seed(9));
+        let (baseline, _) = kmeans(&clean, KMeansNdParams::new(3).with_seed(9));
 
         let mut pts = clean.clone();
         pts.insert(0, LocalPoint::new(f64::NAN, f64::INFINITY));
         pts.push(LocalPoint::new(0.0, f64::NAN));
-        let r = kmeans(&pts, KMeansParams::new(3).with_seed(9));
+        let (r, _) = kmeans(&pts, KMeansNdParams::new(3).with_seed(9));
 
-        assert!(r.clustering.labels[0].is_none());
-        assert!(r.clustering.labels[pts.len() - 1].is_none());
+        assert!(r.labels[0].is_none());
+        assert!(r.labels[pts.len() - 1].is_none());
         assert_eq!(r.centroids, baseline.centroids);
         assert!(r.inertia.is_finite());
         let finite_labels: Vec<_> = (0..pts.len())
             .filter(|&i| pts[i].x.is_finite() && pts[i].y.is_finite())
-            .map(|i| r.clustering.labels[i])
+            .map(|i| r.labels[i])
             .collect();
-        assert_eq!(finite_labels, baseline.clustering.labels);
+        assert_eq!(finite_labels, baseline.labels);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let pts = blob(0.0, 0.0, 60, 50.0);
-        let a = kmeans(&pts, KMeansParams::new(4).with_seed(42));
-        let b = kmeans(&pts, KMeansParams::new(4).with_seed(42));
-        assert_eq!(a.clustering.labels, b.clustering.labels);
+        let (a, _) = kmeans(&pts, KMeansNdParams::new(4).with_seed(42));
+        let (b, _) = kmeans(&pts, KMeansNdParams::new(4).with_seed(42));
+        assert_eq!(a.labels, b.labels);
         assert_eq!(a.inertia, b.inertia);
     }
 
@@ -280,8 +109,9 @@ mod tests {
         let mut pts = blob(0.0, 0.0, 30, 30.0);
         pts.extend(blob(300.0, 0.0, 30, 30.0));
         pts.extend(blob(0.0, 300.0, 30, 30.0));
-        let i1 = kmeans(&pts, KMeansParams::new(1).with_seed(7)).inertia;
-        let i3 = kmeans(&pts, KMeansParams::new(3).with_seed(7)).inertia;
+        let (r1, _) = kmeans(&pts, KMeansNdParams::new(1).with_seed(7));
+        let (r3, _) = kmeans(&pts, KMeansNdParams::new(3).with_seed(7));
+        let (i1, i3) = (r1.inertia, r3.inertia);
         assert!(i3 < i1 * 0.5, "i1={i1} i3={i3}");
     }
 }

@@ -11,18 +11,18 @@
 //!   cluster the k-th stay points of each coarse pattern.
 //! - [`meanshift`]: Mean Shift mode seeking (Comaniciu & Meer, ref \[25\]),
 //!   the refinement step of the Splitter competitor (ref \[17\]).
-//! - [`mod@kmeans`]: K-Means (mentioned in ref \[21\]'s hybrid annotation
-//!   algorithm), with k-means++ seeding.
+//! - [`ndim`]: K-Means with k-means++ seeding (mentioned in ref \[21\]'s
+//!   hybrid annotation algorithm) and Mean Shift over N-dimensional rows —
+//!   planar points at `dims = 2`, pm-cohort's user-embedding profiles at
+//!   240.
 //!
 //! [`kernel`] holds the Gaussian distribution coefficient of the paper's
 //! Eq. 2, shared by popularity estimation and semantic recognition.
-//! [`ndim`] generalizes K-Means and Mean Shift to N-dimensional rows for
-//! the user-embedding spaces of pm-cohort, with the same seeded
-//! determinism discipline as the 2-D variants.
 
 pub mod dbscan;
 pub mod kernel;
-pub mod kmeans;
+#[cfg(test)]
+mod kmeans;
 pub mod meanshift;
 pub mod ndim;
 pub(crate) mod neighborhoods;
@@ -30,7 +30,6 @@ pub mod optics;
 
 pub use dbscan::{dbscan, DbscanParams};
 pub use kernel::{gaussian_coeff, GaussianKernel};
-pub use kmeans::{kmeans, KMeansParams, KMeansResult};
 pub use meanshift::{mean_shift, MeanShiftParams, MeanShiftResult};
 pub use ndim::{
     kmeans_nd, mean_shift_nd, KMeansNdParams, KMeansNdResult, MeanShiftNdParams, MeanShiftNdResult,

@@ -1,18 +1,24 @@
 //! N-dimensional K-Means and Mean Shift over flat row-major data.
 //!
-//! The 2-D variants in [`mod@crate::kmeans`] and [`crate::meanshift`] operate on
-//! [`pm_geo::LocalPoint`] — the right shape for the paper's spatial
-//! substrate, and deliberately so. User-embedding spaces (pm-cohort's
-//! category-transition profiles) are higher-dimensional, so this module
-//! generalizes both algorithms to `dims`-dimensional rows stored flat
-//! (`data[i * dims .. (i + 1) * dims]` is point `i`), keeping the exact
-//! determinism discipline of the 2-D code: ChaCha8-seeded k-means++
+//! Rows are stored flat (`data[i * dims .. (i + 1) * dims]` is point `i`),
+//! so one implementation serves both planar points (`dims = 2`) and
+//! user-embedding spaces (pm-cohort's 240-dimensional category-transition
+//! profiles). [`crate::meanshift`] keeps a 2-D Mean Shift over
+//! [`pm_geo::LocalPoint`] for the Splitter baseline. Both algorithms here
+//! follow the crate's determinism discipline: ChaCha8-seeded k-means++
 //! initialization, fixed iteration order, and non-finite rows masked out as
 //! noise instead of poisoning every centroid.
+//!
+//! K-Means groups the finite rows by bit pattern first and computes each
+//! distinct row's squared distances and nearest centroid once per step.
+//! Everything that folds floats — centroid sums, the k-means++ sampling
+//! walk, inertia — still visits every row in row order, so the result is
+//! bit-identical to the plain per-row loop (DESIGN.md §17.2).
 
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashMap;
 
 /// Parameters for [`kmeans_nd`].
 #[derive(Clone, Copy, Debug)]
@@ -28,8 +34,8 @@ pub struct KMeansNdParams {
 }
 
 impl KMeansNdParams {
-    /// Parameter set with the same defaults as the 2-D variant
-    /// (100 iterations, 1e-4 tolerance, seed 0).
+    /// Parameter set with the defaults: 100 iterations, 1e-4 tolerance,
+    /// seed 0.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "k must be at least 1");
         Self {
@@ -67,6 +73,7 @@ pub struct KMeansNdResult {
 /// `data.len()` must be a multiple of `dims`. Deterministic for a given
 /// (data, params) pair: the RNG is seeded, ties in the assignment step go to
 /// the lowest centroid index, and accumulation order is the row order.
+/// Repeated rows cost one distance computation per step, not one each.
 pub fn kmeans_nd(data: &[f64], dims: usize, params: KMeansNdParams) -> KMeansNdResult {
     assert!(dims >= 1, "dims must be at least 1");
     assert_eq!(data.len() % dims, 0, "data must be whole rows");
@@ -84,21 +91,25 @@ pub fn kmeans_nd(data: &[f64], dims: usize, params: KMeansNdParams) -> KMeansNdR
         };
     }
 
-    let mut centroids = plus_plus_init_nd(data, dims, &finite, k, params.seed);
-    let mut assign = vec![0usize; finite.len()];
+    let rows = DistinctRows::group(data, dims, &finite);
+    let mut centroids = plus_plus_init_nd(&rows, k, params.seed);
+    let mut nearest = vec![0usize; rows.len()];
 
     for _ in 0..params.max_iter {
-        for (slot, &i) in assign.iter_mut().zip(&finite) {
-            *slot = nearest_row(row(data, dims, i), &centroids, dims);
+        for (d, slot) in nearest.iter_mut().enumerate() {
+            *slot = nearest_row(rows.row(d), &centroids, dims);
         }
+        // Every accumulator starts at +0.0 and so never holds -0.0; adding
+        // ±0.0 leaves it unchanged, and skipping zeros is exact.
         let mut sums = vec![0.0; k * dims];
         let mut counts = vec![0usize; k];
-        for (slot, &i) in assign.iter().zip(&finite) {
-            let p = row(data, dims, i);
-            for (s, v) in sums[slot * dims..(slot + 1) * dims].iter_mut().zip(p) {
-                *s += v;
+        for &d in &rows.of {
+            let c = nearest[d];
+            let sum = &mut sums[c * dims..(c + 1) * dims];
+            for &(dim, v) in rows.nonzeros(d) {
+                sum[dim] += v;
             }
-            counts[*slot] += 1;
+            counts[c] += 1;
         }
         let mut movement = 0.0;
         for c in 0..k {
@@ -120,13 +131,19 @@ pub fn kmeans_nd(data: &[f64], dims: usize, params: KMeansNdParams) -> KMeansNdR
         }
     }
 
+    let best: Vec<(usize, f64)> = (0..rows.len())
+        .map(|d| {
+            let p = rows.row(d);
+            let c = nearest_row(p, &centroids, dims);
+            (c, dist_sq(p, &centroids[c * dims..(c + 1) * dims]))
+        })
+        .collect();
     let mut labels = vec![None; n];
     let mut inertia = 0.0;
-    for &i in &finite {
-        let p = row(data, dims, i);
-        let c = nearest_row(p, &centroids, dims);
+    for (&i, &d) in finite.iter().zip(&rows.of) {
+        let (c, d_sq) = best[d];
         labels[i] = Some(c);
-        inertia += dist_sq(p, &centroids[c * dims..(c + 1) * dims]);
+        inertia += d_sq;
     }
 
     KMeansNdResult {
@@ -135,6 +152,81 @@ pub fn kmeans_nd(data: &[f64], dims: usize, params: KMeansNdParams) -> KMeansNdR
         centroids,
         inertia,
     }
+}
+
+/// The finite rows of a K-Means input, grouped by bit pattern.
+struct DistinctRows<'a> {
+    data: &'a [f64],
+    dims: usize,
+    /// Row index of each distinct pattern's first occurrence.
+    first: Vec<usize>,
+    /// Pattern of each finite row, in row order.
+    of: Vec<usize>,
+    /// Non-zero `(dim, value)` entries of every pattern, concatenated;
+    /// pattern `d` owns `nonzeros[starts[d]..starts[d + 1]]`.
+    nonzeros: Vec<(usize, f64)>,
+    starts: Vec<usize>,
+}
+
+impl<'a> DistinctRows<'a> {
+    fn group(data: &'a [f64], dims: usize, finite: &[usize]) -> Self {
+        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut first: Vec<usize> = Vec::new();
+        let mut of = Vec::with_capacity(finite.len());
+        for &i in finite {
+            let r = row(data, dims, i);
+            let bucket = by_hash.entry(row_hash(r)).or_default();
+            let seen = bucket
+                .iter()
+                .copied()
+                .find(|&d| same_bits(row(data, dims, first[d]), r));
+            of.push(seen.unwrap_or_else(|| {
+                bucket.push(first.len());
+                first.push(i);
+                first.len() - 1
+            }));
+        }
+        let mut nonzeros = Vec::new();
+        let mut starts = Vec::with_capacity(first.len() + 1);
+        starts.push(0);
+        for &i in &first {
+            let r = row(data, dims, i);
+            nonzeros.extend(r.iter().copied().enumerate().filter(|&(_, v)| v != 0.0));
+            starts.push(nonzeros.len());
+        }
+        Self {
+            data,
+            dims,
+            first,
+            of,
+            nonzeros,
+            starts,
+        }
+    }
+
+    /// Number of distinct patterns.
+    fn len(&self) -> usize {
+        self.first.len()
+    }
+
+    fn row(&self, d: usize) -> &'a [f64] {
+        row(self.data, self.dims, self.first[d])
+    }
+
+    fn nonzeros(&self, d: usize) -> &[(usize, f64)] {
+        &self.nonzeros[self.starts[d]..self.starts[d + 1]]
+    }
+}
+
+/// FxHash-style fold over the bit patterns of a row.
+fn row_hash(r: &[f64]) -> u64 {
+    r.iter().fold(0, |h: u64, v| {
+        (h.rotate_left(5) ^ v.to_bits()).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Parameters for [`mean_shift_nd`].
@@ -282,38 +374,41 @@ fn nearest_row(p: &[f64], centroids: &[f64], dims: usize) -> usize {
     best
 }
 
-/// k-means++ seeding over the finite rows, mirroring the 2-D implementation.
-fn plus_plus_init_nd(data: &[f64], dims: usize, finite: &[usize], k: usize, seed: u64) -> Vec<f64> {
+/// k-means++ seeding: the first centroid is a uniformly drawn row, each
+/// further one a row drawn with probability proportional to its squared
+/// distance from the nearest centroid so far. Distances are kept per
+/// distinct pattern; the total and the sampling walk run over every row.
+fn plus_plus_init_nd(rows: &DistinctRows, k: usize, seed: u64) -> Vec<f64> {
+    let dims = rows.dims;
+    let n = rows.of.len();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut centroids = Vec::with_capacity(k * dims);
-    let first = finite[rng.gen_range(0..finite.len())];
-    centroids.extend_from_slice(row(data, dims, first));
-    let mut d_sq: Vec<f64> = finite
-        .iter()
-        .map(|&i| dist_sq(row(data, dims, i), &centroids[..dims]))
+    centroids.extend_from_slice(rows.row(rows.of[rng.gen_range(0..n)]));
+    let mut d_sq: Vec<f64> = (0..rows.len())
+        .map(|d| dist_sq(rows.row(d), &centroids[..dims]))
         .collect();
     while centroids.len() < k * dims {
-        let total: f64 = d_sq.iter().sum();
+        let total: f64 = rows.of.iter().map(|&d| d_sq[d]).sum();
         let next = if total <= f64::EPSILON {
             // All remaining rows coincide with existing centroids.
-            finite[rng.gen_range(0..finite.len())]
+            rows.of[rng.gen_range(0..n)]
         } else {
             let mut target = rng.gen_range(0.0..total);
-            let mut chosen = finite.len() - 1;
-            for (i, &d) in d_sq.iter().enumerate() {
-                if target < d {
-                    chosen = i;
+            let mut chosen = rows.of[n - 1];
+            for &d in &rows.of {
+                if target < d_sq[d] {
+                    chosen = d;
                     break;
                 }
-                target -= d;
+                target -= d_sq[d];
             }
-            finite[chosen]
+            chosen
         };
-        let next_row = row(data, dims, next).to_vec();
-        for (slot, &i) in d_sq.iter_mut().zip(finite) {
-            *slot = slot.min(dist_sq(row(data, dims, i), &next_row));
+        let start = centroids.len();
+        centroids.extend_from_slice(rows.row(next));
+        for (d, slot) in d_sq.iter_mut().enumerate() {
+            *slot = slot.min(dist_sq(rows.row(d), &centroids[start..]));
         }
-        centroids.extend_from_slice(&next_row);
     }
     centroids
 }
@@ -321,6 +416,7 @@ fn plus_plus_init_nd(data: &[f64], dims: usize, finite: &[usize], k: usize, seed
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Two well-separated 3-D blobs around (0,0,0) and (100,100,100).
     fn blobs() -> Vec<f64> {
@@ -377,6 +473,179 @@ mod tests {
         let clean = kmeans_nd(&blobs(), 3, KMeansNdParams::new(2).with_seed(7));
         assert_eq!(&r.labels[..40], &clean.labels[..]);
         assert_eq!(r.centroids, clean.centroids);
+    }
+
+    /// The per-row kernel that [`kmeans_nd`] replaced, kept verbatim as the
+    /// bit-for-bit oracle: every row's distances are computed afresh.
+    fn kmeans_nd_reference(data: &[f64], dims: usize, params: KMeansNdParams) -> KMeansNdResult {
+        let n = data.len() / dims;
+        let finite: Vec<usize> = (0..n)
+            .filter(|&i| row(data, dims, i).iter().all(|v| v.is_finite()))
+            .collect();
+        let k = params.k.min(finite.len());
+        if k == 0 {
+            return KMeansNdResult {
+                labels: vec![None; n],
+                n_clusters: 0,
+                centroids: Vec::new(),
+                inertia: 0.0,
+            };
+        }
+
+        let mut centroids = plus_plus_init_reference(data, dims, &finite, k, params.seed);
+        let mut assign = vec![0usize; finite.len()];
+
+        for _ in 0..params.max_iter {
+            for (slot, &i) in assign.iter_mut().zip(&finite) {
+                *slot = nearest_row(row(data, dims, i), &centroids, dims);
+            }
+            let mut sums = vec![0.0; k * dims];
+            let mut counts = vec![0usize; k];
+            for (slot, &i) in assign.iter().zip(&finite) {
+                let p = row(data, dims, i);
+                for (s, v) in sums[slot * dims..(slot + 1) * dims].iter_mut().zip(p) {
+                    *s += v;
+                }
+                counts[*slot] += 1;
+            }
+            let mut movement = 0.0;
+            for c in 0..k {
+                if counts[c] == 0 {
+                    continue;
+                }
+                let inv = 1.0 / counts[c] as f64;
+                let mut d_sq = 0.0;
+                for d in 0..dims {
+                    let next = sums[c * dims + d] * inv;
+                    let delta = next - centroids[c * dims + d];
+                    d_sq += delta * delta;
+                    centroids[c * dims + d] = next;
+                }
+                movement += d_sq.sqrt();
+            }
+            if movement < params.tol {
+                break;
+            }
+        }
+
+        let mut labels = vec![None; n];
+        let mut inertia = 0.0;
+        for &i in &finite {
+            let p = row(data, dims, i);
+            let c = nearest_row(p, &centroids, dims);
+            labels[i] = Some(c);
+            inertia += dist_sq(p, &centroids[c * dims..(c + 1) * dims]);
+        }
+
+        KMeansNdResult {
+            labels,
+            n_clusters: k,
+            centroids,
+            inertia,
+        }
+    }
+
+    fn plus_plus_init_reference(
+        data: &[f64],
+        dims: usize,
+        finite: &[usize],
+        k: usize,
+        seed: u64,
+    ) -> Vec<f64> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut centroids = Vec::with_capacity(k * dims);
+        let first = finite[rng.gen_range(0..finite.len())];
+        centroids.extend_from_slice(row(data, dims, first));
+        let mut d_sq: Vec<f64> = finite
+            .iter()
+            .map(|&i| dist_sq(row(data, dims, i), &centroids[..dims]))
+            .collect();
+        while centroids.len() < k * dims {
+            let total: f64 = d_sq.iter().sum();
+            let next = if total <= f64::EPSILON {
+                finite[rng.gen_range(0..finite.len())]
+            } else {
+                let mut target = rng.gen_range(0.0..total);
+                let mut chosen = finite.len() - 1;
+                for (i, &d) in d_sq.iter().enumerate() {
+                    if target < d {
+                        chosen = i;
+                        break;
+                    }
+                    target -= d;
+                }
+                finite[chosen]
+            };
+            let next_row = row(data, dims, next).to_vec();
+            for (slot, &i) in d_sq.iter_mut().zip(finite) {
+                *slot = slot.min(dist_sq(row(data, dims, i), &next_row));
+            }
+            centroids.extend_from_slice(&next_row);
+        }
+        centroids
+    }
+
+    /// Everything a K-Means result carries, floats as raw bits.
+    fn result_bits(r: &KMeansNdResult) -> (Vec<Option<usize>>, usize, Vec<u64>, u64) {
+        (
+            r.labels.clone(),
+            r.n_clusters,
+            r.centroids.iter().map(|v| v.to_bits()).collect(),
+            r.inertia.to_bits(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Rows drawn from a pool of patterns — a small pool gives heavy
+        /// repeats, a large one mostly distinct rows — with +0.0, -0.0 and
+        /// integer entries (exact distance ties), some rows then poisoned
+        /// with NaN or ±inf: the grouped kernel matches the per-row oracle
+        /// bit for bit.
+        #[test]
+        fn kmeans_nd_is_bit_identical_to_the_per_row_kernel(
+            pool in prop::collection::vec(
+                prop::collection::vec(
+                    (0u8..6, -50.0..50.0f64).prop_map(|(kind, v)| match kind {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => v.round(),
+                        _ => v,
+                    }),
+                    6,
+                ),
+                1..40,
+            ),
+            picks in prop::collection::vec(0usize..1_000, 0..90),
+            poison in prop::collection::vec((0usize..1_000, 0usize..6, 0u8..3), 0..5),
+            dims in 1usize..7,
+            k in 1usize..9,
+            seed in 0u64..1_000,
+            max_iter in 1usize..120,
+        ) {
+            let mut data: Vec<f64> = picks
+                .iter()
+                .flat_map(|&p| pool[p % pool.len()][..dims].to_vec())
+                .collect();
+            let n = picks.len();
+            if n > 0 {
+                for &(slot, dim, shape) in &poison {
+                    data[(slot % n) * dims + dim % dims] = match shape {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        _ => f64::NEG_INFINITY,
+                    };
+                }
+            }
+            let params = KMeansNdParams {
+                max_iter,
+                ..KMeansNdParams::new(k).with_seed(seed)
+            };
+            let got = kmeans_nd(&data, dims, params);
+            let want = kmeans_nd_reference(&data, dims, params);
+            prop_assert_eq!(result_bits(&got), result_bits(&want));
+        }
     }
 
     #[test]

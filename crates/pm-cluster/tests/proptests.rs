@@ -1,7 +1,7 @@
 //! Property-based tests for the clustering substrate.
 
 use pm_cluster::{
-    dbscan, kmeans, mean_shift, DbscanParams, GaussianKernel, KMeansParams, MeanShiftParams,
+    dbscan, kmeans_nd, mean_shift, DbscanParams, GaussianKernel, KMeansNdParams, MeanShiftParams,
     Optics, OpticsParams,
 };
 use pm_geo::{GridIndex, LocalPoint};
@@ -13,6 +13,11 @@ fn local_point() -> impl Strategy<Value = LocalPoint> {
 
 fn point_vec(max: usize) -> impl Strategy<Value = Vec<LocalPoint>> {
     prop::collection::vec(local_point(), 0..max)
+}
+
+/// Points as flat `[x, y]` rows, the layout `kmeans_nd` takes.
+fn flat(points: &[LocalPoint]) -> Vec<f64> {
+    points.iter().flat_map(|p| [p.x, p.y]).collect()
 }
 
 /// Overwrites points selected by `(index, shape)` codes with non-finite
@@ -229,8 +234,9 @@ proptest! {
         prop_assert_eq!(finite_labels, clean.clustering.labels);
     }
 
-    /// K-Means on corrupted input keeps centroids finite and partitions the
-    /// finite points exactly as a clean run with the same seed.
+    /// Planar K-Means (`kmeans_nd` at `dims = 2`) on corrupted input keeps
+    /// centroids finite and partitions the finite points exactly as a clean
+    /// run with the same seed.
     #[test]
     fn kmeans_tolerates_non_finite_points(
         points in point_vec(50),
@@ -239,35 +245,40 @@ proptest! {
         seed in 0u64..100,
     ) {
         let (corrupt, finite, finite_idx) = inject_non_finite(points, &picks);
-        let r = kmeans(&corrupt, KMeansParams::new(k).with_seed(seed));
-        let clean = kmeans(&finite, KMeansParams::new(k).with_seed(seed));
+        let r = kmeans_nd(&flat(&corrupt), 2, KMeansNdParams::new(k).with_seed(seed));
+        let clean = kmeans_nd(&flat(&finite), 2, KMeansNdParams::new(k).with_seed(seed));
         prop_assert_eq!(&r.centroids, &clean.centroids);
         for c in &r.centroids {
-            prop_assert!(c.x.is_finite() && c.y.is_finite(), "non-finite centroid {c}");
+            prop_assert!(c.is_finite(), "non-finite centroid coordinate {c}");
         }
         let mut finite_labels = Vec::new();
-        for (i, label) in r.clustering.labels.iter().enumerate() {
+        for (i, label) in r.labels.iter().enumerate() {
             if finite_idx.contains(&i) {
                 finite_labels.push(*label);
             } else {
                 prop_assert!(label.is_none(), "non-finite point {i} was labelled");
             }
         }
-        prop_assert_eq!(finite_labels, clean.clustering.labels);
+        prop_assert_eq!(finite_labels, clean.labels);
     }
 
-    /// K-Means assigns every point to its nearest centroid.
+    /// Planar K-Means assigns every point to its nearest centroid.
     #[test]
     fn kmeans_assignment_is_nearest(
         points in point_vec(60),
         k in 1usize..6,
         seed in 0u64..100,
     ) {
-        let r = kmeans(&points, KMeansParams::new(k).with_seed(seed));
-        for (i, label) in r.clustering.labels.iter().enumerate() {
+        let r = kmeans_nd(&flat(&points), 2, KMeansNdParams::new(k).with_seed(seed));
+        let centroids: Vec<LocalPoint> = r
+            .centroids
+            .chunks_exact(2)
+            .map(|c| LocalPoint::new(c[0], c[1]))
+            .collect();
+        for (i, label) in r.labels.iter().enumerate() {
             let Some(l) = label else { continue };
-            let own = points[i].distance_sq(&r.centroids[*l]);
-            for c in &r.centroids {
+            let own = points[i].distance_sq(&centroids[*l]);
+            for c in &centroids {
                 prop_assert!(own <= points[i].distance_sq(c) + 1e-9);
             }
         }

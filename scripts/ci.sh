@@ -106,11 +106,19 @@ rerun 'cargo bench -p pm-bench --bench pipeline' and commit the report"
 rerun 'cargo bench -p pm-bench --bench ingest_throughput' and commit the report"
 fi
 
+# The bench crate is outside the default test set; its report writer, which
+# every bench below goes through, has tests of its own.
+echo "==> cargo test -q -p pm-bench --lib"
+cargo test -q -p pm-bench --lib
+
 # Perf smoke: the whole-pipeline bench in quick mode (seconds, not minutes).
 # Its BENCH_pipeline.json is the per-commit performance record CI archives.
 # Cargo runs bench binaries from the package directory, so pin the output
 # to the workspace root explicitly.
 echo "==> cargo bench -p pm-bench --bench pipeline (PM_BENCH_SMOKE=1)"
+# Each bench upserts its own section and keeps the rest, so start from an
+# empty report: every section checked below must then come from this run.
+rm -f BENCH_pipeline.json
 # PM_BENCH_FULL is pinned off here: full mode takes precedence inside the
 # bench, and a CI environment exporting PM_BENCH_FULL=1 must not turn the
 # smoke run into a second full run (the gated step below handles full).
@@ -134,19 +142,19 @@ if [ "$have_baseline" = 1 ]; then
     fi
 fi
 
-# Serve smoke: loopback request latencies, spliced into the same report.
+# Serve smoke: loopback request latencies, recorded in the same report.
 echo "==> cargo bench -p pm-bench --bench serve_latency (PM_BENCH_SMOKE=1)"
 PM_BENCH_SMOKE=1 PM_BENCH_OUT="$workspace/BENCH_pipeline.json" \
     cargo bench -p pm-bench --bench serve_latency
 grep -q '"serve"' BENCH_pipeline.json \
-    || die "serve bench did not splice into BENCH_pipeline.json"
+    || die "serve bench did not record its section in BENCH_pipeline.json"
 
 # Ingest smoke: streaming fixes through POST /v1/ingest, same report.
 echo "==> cargo bench -p pm-bench --bench ingest_throughput (PM_BENCH_SMOKE=1)"
 PM_BENCH_SMOKE=1 PM_BENCH_OUT="$workspace/BENCH_pipeline.json" \
     cargo bench -p pm-bench --bench ingest_throughput
 grep -q '"ingest"' BENCH_pipeline.json \
-    || die "ingest bench did not splice into BENCH_pipeline.json"
+    || die "ingest bench did not record its section in BENCH_pipeline.json"
 
 # Throughput regression guard for the streaming path — non-fatal, like the
 # extract guard above (higher is better here, so the alarm is a *drop*).
@@ -162,22 +170,22 @@ if [ "$have_baseline" = 1 ]; then
 fi
 
 # Motif smoke: batch motif mining (day graphs -> canonical forms -> ranked
-# table), spliced into the same report.
+# table), recorded in the same report.
 echo "==> cargo bench -p pm-bench --bench motif_bench (PM_BENCH_SMOKE=1)"
 PM_BENCH_SMOKE=1 PM_BENCH_OUT="$workspace/BENCH_pipeline.json" \
     cargo bench -p pm-bench --bench motif_bench
 grep -q '"motifs"' BENCH_pipeline.json \
-    || die "motif bench did not splice into BENCH_pipeline.json"
+    || die "motif bench did not record its section in BENCH_pipeline.json"
 
 # Cohort smoke: per-user embedding, cohort clustering, and similar-user
-# queries (pruned cohort scope vs exact scan), spliced into the same report.
+# queries (pruned cohort scope vs exact scan), recorded in the same report.
 echo "==> cargo bench -p pm-bench --bench cohort_bench (PM_BENCH_SMOKE=1)"
 PM_BENCH_SMOKE=1 PM_BENCH_OUT="$workspace/BENCH_pipeline.json" \
     cargo bench -p pm-bench --bench cohort_bench
 grep -q '"cohorts"' BENCH_pipeline.json \
-    || die "cohort bench did not splice into BENCH_pipeline.json"
+    || die "cohort bench did not record its section in BENCH_pipeline.json"
 
-# Loadgen smoke: the sharded-ingest load generator (shards=8), spliced into
+# Loadgen smoke: the sharded-ingest load generator (shards=8), recorded in
 # the same report. The committed loadgen section is the full 1M-user run,
 # so no smoke-vs-full delta is computed — the ingest guard above covers
 # throughput regressions at matched scale.
@@ -185,7 +193,7 @@ echo "==> cargo bench -p pm-bench --bench loadgen (PM_BENCH_SMOKE=1)"
 PM_BENCH_SMOKE=1 PM_BENCH_OUT="$workspace/BENCH_pipeline.json" \
     cargo bench -p pm-bench --bench loadgen
 grep -q '"loadgen"' BENCH_pipeline.json \
-    || die "loadgen bench did not splice into BENCH_pipeline.json"
+    || die "loadgen bench did not record its section in BENCH_pipeline.json"
 
 # Bench comparison table — markdown for the GitHub Actions step summary
 # when running under Actions, plain stdout otherwise. Latencies alarm when
@@ -239,7 +247,38 @@ if [ "$have_baseline" = 1 ]; then
     fi
 fi
 
-# Full-scale pipeline section: evaluation-scale stage medians spliced into
+# Rust lines per crate, next to the bench table: deleting code is progress
+# too, and this makes it visible. The delta is against the parent commit,
+# when the checkout has one (a depth-1 clone does not).
+lines_table() {
+    local have_parent=0 dir lines delta
+    git rev-parse -q --verify HEAD~1 > /dev/null && have_parent=1
+    echo ""
+    echo "### Rust lines per crate"
+    echo ""
+    echo "| crate | lines | vs parent commit |"
+    echo "|---|---:|---:|"
+    for dir in crates/*/ shims/*/ tests/ examples/ perfbench/; do
+        dir="${dir%/}"
+        [ -d "$dir" ] || continue
+        lines="$(find "$dir" -name '*.rs' -not -path '*/target/*' -exec cat {} + | wc -l)"
+        delta="n/a"
+        if [ "$have_parent" = 1 ]; then
+            delta="$(git diff --numstat --no-renames HEAD~1 -- "$dir" \
+                | awk '$3 ~ /\.rs$/ { d += $1 - $2 } END { printf "%+d", d }')"
+        fi
+        echo "| $dir | $lines | $delta |"
+    done
+    echo ""
+}
+if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
+    lines_table >> "$GITHUB_STEP_SUMMARY"
+    echo "    per-crate line counts written to the Actions step summary"
+else
+    lines_table
+fi
+
+# Full-scale pipeline section: evaluation-scale stage medians recorded in
 # the same report, so the per-commit record tracks both scales. Minutes,
 # not seconds — opt-in via PM_BENCH_FULL=1 (the CI workflow sets it).
 if [ "${PM_BENCH_FULL:-0}" = "1" ]; then
@@ -247,7 +286,7 @@ if [ "${PM_BENCH_FULL:-0}" = "1" ]; then
     PM_BENCH_FULL=1 PM_BENCH_OUT="$workspace/BENCH_pipeline.json" \
         cargo bench -p pm-bench --bench pipeline
     grep -q '"full"' BENCH_pipeline.json \
-        || die "full-mode bench did not splice into BENCH_pipeline.json"
+        || die "full-mode bench did not record its section in BENCH_pipeline.json"
 else
     echo "==> full-scale pipeline bench skipped (set PM_BENCH_FULL=1 to run)"
 fi

@@ -4,15 +4,20 @@
 //! produce byte-identical patterns, metrics, and degradation events — on
 //! clean corpora and under fault injection alike.
 
+use pervasive_miner::cluster::GaussianKernel;
+use pervasive_miner::cohort::{
+    embed_users, ClusterMethod, CohortParams, CohortTable, UserEmbedding, UserStay,
+};
 use pervasive_miner::core::construct::ConstructionOptions;
 use pervasive_miner::core::extract::{extract_patterns_observed, extract_patterns_tracked};
 use pervasive_miner::core::recognize::{
-    recognize_all_observed, recognize_all_tracked, stay_points_of,
+    recognize_all_observed, recognize_all_tracked, recognize_stay_point_unit, stay_points_of,
 };
 use pervasive_miner::core::types::Poi;
 use pervasive_miner::prelude::*;
 use pervasive_miner::synth::{corrupt_trajectories, Corruption};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Construct -> recognize -> extract at an explicit thread count.
@@ -285,6 +290,111 @@ fn golden_fingerprints_pin_the_exact_output_bytes() {
             assert_eq!(
                 got, want,
                 "corruption mode {mode}, threads {threads}: got {got:#018x}, want {want:#018x}"
+            );
+        }
+    }
+}
+
+/// The `cohorts` command's corpus-to-embeddings path: recognize every stay
+/// to a unit, group stays per user (carded passengers by card, anonymous
+/// trajectories alone), and embed each user.
+fn embed_corpus(ds: &Dataset, params: &MinerParams) -> Vec<UserEmbedding> {
+    let stays = stay_points_of(&ds.trajectories);
+    let csd = CitySemanticDiagram::build(&ds.pois, &stays, params).expect("valid params");
+    let kernel = GaussianKernel::new(params.r3sigma);
+    let mut groups: BTreeMap<String, Vec<UserStay>> = BTreeMap::new();
+    for (i, traj) in ds.trajectories.iter().enumerate() {
+        let user = match traj.passenger {
+            Some(card) => format!("card-{card}"),
+            None => format!("u{i}"),
+        };
+        let user_stays = groups.entry(user).or_default();
+        for sp in &traj.stays {
+            let (unit, _, primary) = recognize_stay_point_unit(&csd, &kernel, sp.pos);
+            if let Some(unit) = unit {
+                user_stays.push(UserStay {
+                    unit: unit as u64,
+                    category: primary,
+                    time: sp.time,
+                });
+            }
+        }
+    }
+    groups.retain(|_, s| !s.is_empty());
+    let groups: Vec<(String, Vec<UserStay>)> = groups.into_iter().collect();
+    embed_users(&groups, params.threads)
+}
+
+/// Canonical byte-exact encoding of a cohort table, floats as raw bits.
+fn cohort_fingerprint(table: &CohortTable) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "T{},{},{}",
+        table.k_min,
+        table.seed,
+        table.method.name()
+    );
+    for c in &table.cohorts {
+        let _ = write!(out, "C{},{}", c.id, c.size);
+        for v in c
+            .category_mix
+            .iter()
+            .chain([&c.mean_active_days, &c.mean_stays])
+        {
+            let _ = write!(out, ",{:016x}", v.to_bits());
+        }
+        out.push('\n');
+    }
+    for u in &table.users {
+        let _ = write!(
+            out,
+            "U{}|{}|{}|{}|{}|{:?}|{:?}|",
+            u.user, u.cohort, u.stays, u.active_days, u.transitions, u.category_visits, u.top_units
+        );
+        for (key, w) in &u.features {
+            let _ = write!(out, "{key:x}:{:016x};", w.to_bits());
+        }
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn golden_cohort_fingerprints_pin_the_mined_table() {
+    // Captured from the straightforward k-means kernel, which computed
+    // every row's distances afresh. The kernel now computes each distinct
+    // profile once and claims to be bit-identical; a changed hash means
+    // the cohort ids, aggregates or centroid arithmetic moved. Update a
+    // hash only with an argument for why the new bytes are the right ones.
+    const GOLDEN: [(u64, u64, u64); 3] = [
+        (2026, 0x423c38c5704283ec, 0x958ea24eecdd3e9e),
+        (7, 0xbaffb52ccafab48b, 0xf51441fe06ec07e5),
+        (123, 0x598691d2a7155665, 0xa9837e25dac2589a),
+    ];
+    for (seed, want_default, want_fixed_k) in GOLDEN {
+        let ds = Dataset::generate(&CityConfig::tiny(seed));
+        let params = MinerParams {
+            sigma: 20,
+            ..MinerParams::default()
+        };
+        let embeddings = embed_corpus(&ds, &params);
+        let fixed_k = CohortParams {
+            k: 12,
+            seed: 99,
+            ..CohortParams::default()
+        };
+        for (cohort_params, want) in [
+            (CohortParams::default(), want_default),
+            (fixed_k, want_fixed_k),
+        ] {
+            let table = CohortTable::mine(embeddings.clone(), &cohort_params);
+            assert_eq!(table.method, ClusterMethod::KMeans, "seed {seed}");
+            let got = fnv1a(&cohort_fingerprint(&table));
+            assert_eq!(
+                got, want,
+                "corpus seed {seed}, cohort k {}: got {got:#018x}, want {want:#018x}",
+                cohort_params.k
             );
         }
     }
