@@ -1,7 +1,7 @@
 //! Per-user cohort pipeline benchmark with a CI-friendly smoke mode.
 //!
-//! Builds a CSD, then times the batch cohort path behind
-//! `pervasive-miner cohorts`: every user's recognized stays embed into a
+//! Builds a CSD, then times the batch cohort path behind the cohort
+//! section of `mine --artifact`: every user's recognized stays embed into a
 //! sparse semantic-unit visit/transition vector (embed rate, users/sec),
 //! the population clusters into life-pattern cohorts (cluster ms), and
 //! the per-user index answers similar-user queries — timed per scope, the
@@ -85,8 +85,8 @@ fn main() {
     let kernel = GaussianKernel::new(params.r3sigma);
 
     // Group recognized stays per user — carded passengers by card id,
-    // anonymous trajectories standing alone — the same identity rule the
-    // `cohorts` command applies.
+    // anonymous trajectories standing alone — the same identity rule
+    // `mine` applies.
     let mut groups: BTreeMap<String, Vec<UserStay>> = BTreeMap::new();
     for (i, traj) in ds.trajectories.iter().enumerate() {
         let user = match traj.passenger {

@@ -7,8 +7,10 @@
 //! apart, legs separated by a `2 * theta_t` travel gap, all users sharing
 //! one base timeline with a small per-user offset so event time advances
 //! batch over batch (a per-user epoch spread would blow the idle TTL).
-//! Batches are generated on the fly; nothing near the full stream is ever
-//! materialized.
+//! One last fix per user, at the start of the next leg, closes the final
+//! dwell, so every leg becomes a stay and every pair of legs a timed
+//! transition. Batches are generated on the fly; nothing near the full
+//! stream is ever materialized.
 //!
 //! Reported: sustained fixes/second plus p50/p99/p999 of the per-batch
 //! round-trip latency, recorded in the `"loadgen"` section of
@@ -73,10 +75,11 @@ fn main() {
     };
     let (legs, dwell) = (2usize, 4usize);
     let batch_size = 1_000usize;
-    let fixes = users * legs * dwell;
+    // Every leg's dwell plus one closing fix per user.
+    let fixes = users * (legs * dwell + 1);
     eprintln!(
-        "loadgen ({mode}): {users} users x {legs} legs x {dwell} fixes = {fixes} fixes, \
-         {shards} shards, batches of {batch_size}"
+        "loadgen ({mode}): {users} users x ({legs} legs x {dwell} fixes + 1 closing fix) \
+         = {fixes} fixes, {shards} shards, batches of {batch_size}"
     );
 
     let artifact = mine_artifact(&ds, &params);
@@ -146,8 +149,10 @@ fn main() {
         body.push_str("{\"fixes\":[");
     };
     body.push_str("{\"fixes\":[");
-    for leg in 0..legs {
-        for k in 0..dwell {
+    // Leg `legs` is only its first fix: the move that closes the last dwell.
+    for leg in 0..=legs {
+        let fixes_in_leg = if leg < legs { dwell } else { 1 };
+        for k in 0..fixes_in_leg {
             for user in 0..users {
                 let (x, y, t) = fix_at(user, leg, k);
                 if in_batch > 0 {
@@ -185,6 +190,7 @@ fn main() {
         0.0
     };
     assert!(stays > 0, "the replay must emit stays");
+    assert!(transitions > 0, "the replay must emit transitions");
     eprintln!(
         "  {fixes} fixes in {batches} batches: {:.1} ms total, {fixes_per_sec:.0} fixes/s, \
          batch p50 {:.3} ms / p99 {:.3} ms / p999 {:.3} ms, {stays} stays, {transitions} transitions",

@@ -4,7 +4,8 @@
 //! bucket into per-day unit-transition graphs, each graph canonicalizes
 //! (exact permutation canonicalization, ≤8 nodes), and the population
 //! distribution over canonical forms aggregates into the ranked motif
-//! table — the same computation behind `pervasive-miner motifs`. The
+//! table — the same computation `mine --artifact` runs for its motif
+//! section. The
 //! timing and class counts land in the `"motifs"` section of
 //! `BENCH_pipeline.json`, next to the pipeline, serve, and ingest sections.
 //!

@@ -3,14 +3,12 @@
 //! ```text
 //! pervasive-miner mine   [--scale tiny|small|paper] [--seed N] [--sigma N]
 //!                        [--pois FILE --journeys FILE] [--lenient]
-//!                        [--artifact FILE] [--top N]
+//!                        [--artifact FILE] [--top N] [--k N] [--k-min N]
 //! pervasive-miner serve  --artifact FILE [--addr HOST:PORT] [--threads N]
 //!                        [--shards N] [--wal-dir DIR]
 //!                        [--remine-interval SECS] [--remine-dir DIR]
 //! pervasive-miner replay --journeys FILE [--addr HOST:PORT] [--rate N] [--batch N]
 //!                        [--users N]
-//! pervasive-miner motifs --artifact FILE [--journeys FILE] [--scale ..] [--seed N]
-//!                        [--top N] [--out FILE]
 //! pervasive-miner artifact-check <FILE>
 //! pervasive-miner fig    <6|9|10|11|12|13|14>  [--scale ..] [--seed N] [--csv DIR]
 //! pervasive-miner table  <1|3>                 [--scale ..] [--seed N]
@@ -18,8 +16,9 @@
 //! pervasive-miner svg    [--scale ..] [--seed N] [--out FILE]
 //! ```
 //!
-//! `mine` runs the CSD-PM pipeline and prints the top patterns; `fig` and
-//! `table` regenerate one paper figure/table; `all` regenerates everything
+//! `mine` runs the whole Pervasive Miner pass and prints the top patterns,
+//! daily motif classes and life-pattern cohorts; `fig` and `table`
+//! regenerate one paper figure/table; `all` regenerates everything
 //! (optionally exporting CSVs for plotting).
 //!
 //! By default `mine` runs on a synthetic city; given `--pois` and
@@ -29,27 +28,21 @@
 //! passed, which quarantines malformed records, mines what remains, and
 //! prints a dropped-records summary to stderr.
 //!
-//! `mine --artifact` additionally persists the full run (CSD + patterns +
-//! parameters) as a versioned `pm-store` artifact; `serve` loads such an
-//! artifact and answers semantic queries over HTTP (including live
-//! ingestion at `POST /v1/ingest` and artifact hot-swap at
+//! One pass ([`pervasive_miner::serve::mine_artifact`]) yields every
+//! product: the CSD, the fine-grained patterns, the daily mobility-motif
+//! table (per-user-per-day semantic-unit transition graphs, canonicalized)
+//! and the cohort table (each user embedded as a sparse semantic-unit
+//! visit/transition vector and clustered into life-pattern cohorts; `--k`
+//! fixes the count, `--k-min` the k-anonymity floor, `--seed` seeds the
+//! clustering). `mine --artifact` persists all of it, with the parameters,
+//! as a versioned `pm-store` artifact; `serve` loads such an artifact and
+//! answers semantic, pattern, motif and cohort queries over HTTP
+//! (including live ingestion at `POST /v1/ingest` and artifact hot-swap at
 //! `POST /v1/reload`); `replay` streams a journey CSV into a running
 //! server's ingest endpoint at a configurable rate; `artifact-check`
 //! verifies an artifact on disk re-serializes byte-identically.
-//!
-//! `motifs` mines the daily mobility-motif distribution of a trajectory
-//! corpus (a journeys CSV, or the synthetic city named by `--scale`/
-//! `--seed`) against a stored artifact's CSD, prints the ranked classes,
-//! and writes the table back into the artifact as its optional motif
-//! section — served at `GET /v1/motifs` by `serve`.
-//!
-//! `cohorts` embeds every user of such a corpus as a sparse semantic-unit
-//! visit/transition vector, clusters the population into life-pattern
-//! cohorts (`--k` fixes the count, `--k-min` the k-anonymity floor), and
-//! writes the table back as the optional cohort section — served at
-//! `GET /v1/cohorts` and the per-user endpoints.
 
-use pervasive_miner::core::construct::ConstructionOptions;
+use pervasive_miner::cohort::CohortParams;
 use pervasive_miner::core::recognize::stay_points_of;
 use pervasive_miner::core::types::Poi;
 use pervasive_miner::eval::{export, figures, report, run_all};
@@ -58,10 +51,9 @@ use pervasive_miner::io::{
     QuarantineReport,
 };
 use pervasive_miner::prelude::*;
-use pervasive_miner::serve::{ServeConfig, ServeState, Server, Snapshot};
+use pervasive_miner::serve::{mine_artifact, ServeConfig, ServeState, Server, Snapshot};
 use pervasive_miner::store::Artifact;
 use pervasive_miner::stream::EngineConfig;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -266,12 +258,17 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: pervasive-miner <mine|serve|replay|motifs|cohorts|artifact-check|fig|table|all|svg> [target] \
+    "usage: pervasive-miner <mine|serve|replay|artifact-check|fig|table|all|svg> [target] \
      [--scale tiny|small|paper] [--seed N] [--sigma N] [--csv DIR] [--out FILE] \
      [--pois FILE --journeys FILE] [--lenient] [--threads N] \
      [--report FILE] [--report-format json|text] \
-     [--artifact FILE] [--top N] [--addr HOST:PORT] [--rate N] [--batch N] \
-     [--users N] [--shards N] [--wal-dir DIR] [--remine-interval SECS] [--remine-dir DIR]\n\
+     [--artifact FILE] [--top N] [--k N] [--k-min N] [--addr HOST:PORT] [--rate N] \
+     [--batch N] [--users N] [--shards N] [--wal-dir DIR] [--remine-interval SECS] \
+     [--remine-dir DIR]\n\
+     mine: one pass builds the CSD, mines the patterns, the daily mobility \
+     motifs (per-user-per-day unit-transition graphs, canonicalized) and the \
+     life-pattern cohorts (users embedded by semantic-unit visits and \
+     transitions, then clustered), and prints the top of each\n\
      --pois/--journeys: mine real CSV data instead of a synthetic city\n\
      --lenient: quarantine malformed input lines instead of aborting on the \
      first one; a dropped-records summary goes to stderr\n\
@@ -281,9 +278,14 @@ fn usage() -> String {
      --report: write a machine-readable run report (per-stage wall time, \
      counters, degradation/quarantine tallies) after `mine`; \
      --report-format picks json (default) or a text table\n\
-     --artifact: with `mine`, also write the run as a pm-store artifact; \
-     with `serve`, the artifact to load (required)\n\
-     --top: how many patterns `mine` prints (default 20)\n\
+     --artifact: with `mine`, also write the run (CSD, patterns, motifs, \
+     cohorts) as a pm-store artifact; with `serve`, the artifact to load \
+     (required)\n\
+     --top: how many patterns, motif classes and users `mine` prints \
+     (default 20)\n\
+     --k: with `mine`, the cohort count (0 = auto, the default); --k-min: \
+     the k-anonymity floor below which cohort aggregates are suppressed \
+     (default 5); --seed also seeds the cohort clustering\n\
      --addr: `serve` listen address (default 127.0.0.1:8080; port 0 picks \
      an ephemeral port, announced on stderr); for `replay`, the server to \
      stream into\n\
@@ -310,17 +312,7 @@ fn usage() -> String {
      exercise a chosen user cardinality; overload answers are retried \
      honoring the server's Retry-After\n\
      artifact-check <FILE>: reload an artifact, verify it re-serializes \
-     byte-identically, and report which optional sections it carries\n\
-     motifs --artifact FILE: mine daily mobility motifs (per-user-per-day \
-     unit-transition graphs, canonicalized) from --journeys CSV or the \
-     synthetic --scale/--seed city, print the --top ranked classes, and \
-     write the table into the artifact (--out writes elsewhere)\n\
-     cohorts --artifact FILE: embed each user's semantic-unit visit/\
-     transition profile, cluster users into life-pattern cohorts, and \
-     write the table into the artifact (--out writes elsewhere; corpus \
-     from --journeys CSV or the synthetic --scale/--seed city); --k fixes \
-     the cohort count (0 = auto), --k-min sets the k-anonymity floor \
-     below which cohort aggregates are suppressed (default 5)"
+     byte-identically, and report which optional sections it carries"
         .into()
 }
 
@@ -360,16 +352,8 @@ fn run() -> Result<(), String> {
     if args.report.is_some() && args.command != "mine" {
         return Err("--report only applies to the `mine` command".into());
     }
-    if args.artifact.is_some()
-        && !matches!(
-            args.command.as_str(),
-            "mine" | "serve" | "motifs" | "cohorts"
-        )
-    {
-        return Err(
-            "--artifact only applies to the `mine`, `serve`, `motifs`, and `cohorts` commands"
-                .into(),
-        );
+    if args.artifact.is_some() && !matches!(args.command.as_str(), "mine" | "serve") {
+        return Err("--artifact only applies to the `mine` and `serve` commands".into());
     }
 
     // Commands that operate on a stored artifact never need a synthetic
@@ -378,8 +362,6 @@ fn run() -> Result<(), String> {
         "serve" => return serve_command(&args),
         "replay" => return replay_command(&args),
         "artifact-check" => return artifact_check(&args),
-        "motifs" => return motifs_command(&args, &params),
-        "cohorts" => return cohorts_command(&args, &params),
         _ => {}
     }
 
@@ -422,10 +404,10 @@ fn run() -> Result<(), String> {
 
 fn mine(ds: &Dataset, params: &MinerParams, args: &Args) -> Result<(), String> {
     let obs = observer(args, params);
-    let (csd, patterns) = mine_pipeline(&ds.pois, ds.trajectories.clone(), params, &obs, args.top)?;
     // Synthetic cities live in a local meter frame with no geographic
     // anchor, so the artifact carries no projection.
-    write_artifact(args, Artifact::new(csd, patterns, *params))?;
+    let artifact = mine_corpus(&ds.pois, ds.trajectories.clone(), params, args, &obs)?;
+    write_artifact(args, artifact)?;
     write_report(args, &obs)
 }
 
@@ -518,12 +500,12 @@ fn mine_ingested(args: &Args, params: &MinerParams) -> Result<(), String> {
         trajectories.len(),
         params.sigma
     );
-    let (csd, patterns) = mine_pipeline(&pois, trajectories, params, &obs, args.top)?;
+    let artifact = mine_corpus(&pois, trajectories, params, args, &obs)?;
     // Ingested data is geographic: store the shared origin so the service
     // can answer lat/lon queries in the same frame.
     write_artifact(
         args,
-        Artifact::new(csd, patterns, *params).with_projection(pervasive_miner::io::DEFAULT_ORIGIN),
+        artifact.with_projection(pervasive_miner::io::DEFAULT_ORIGIN),
     )?;
     write_report(args, &obs)
 }
@@ -858,236 +840,6 @@ fn replay_command(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Mines the daily mobility-motif distribution of a trajectory corpus
-/// against a stored artifact's CSD and writes the ranked table back into
-/// the artifact as its optional motif section.
-///
-/// Nodes are *semantic units* (Algorithm 3's nearest recognized unit per
-/// stay), unlike the live `/v1/live/motifs` path where nodes are primary
-/// categories — the batch side sees the full CSD, the live side only the
-/// recognizer's category vote. Each trajectory is one user; its stays
-/// bucket into absolute days, each day's transition graph canonicalizes
-/// via `pm-motif`, and the population distribution over canonical forms is
-/// the motif table.
-fn motifs_command(args: &Args, params: &MinerParams) -> Result<(), String> {
-    use pervasive_miner::cluster::GaussianKernel;
-    use pervasive_miner::core::recognize::recognize_stay_point_unit;
-    use pervasive_miner::motif::{DayGraphBuilder, MotifAggregator};
-    use pervasive_miner::stream::DAY_SECS;
-
-    let path = args
-        .artifact
-        .as_ref()
-        .ok_or("motifs needs --artifact FILE (produce one with `mine --artifact`)")?;
-    let artifact = Artifact::read_file(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    eprintln!("loaded {}: {}", path.display(), artifact.describe());
-
-    let trajectories = trajectory_corpus(args, params, "motif")?;
-
-    let kernel = GaussianKernel::new(artifact.params.r3sigma);
-    let mut agg = MotifAggregator::new();
-    let mut unrecognized = 0u64;
-    for traj in &trajectories {
-        let mut current: Option<(i64, DayGraphBuilder)> = None;
-        for sp in &traj.stays {
-            let (unit, _tags, primary) = recognize_stay_point_unit(&artifact.csd, &kernel, sp.pos);
-            let Some(unit) = unit else {
-                unrecognized += 1;
-                continue;
-            };
-            let day = sp.time.div_euclid(DAY_SECS);
-            match &mut current {
-                Some((d, builder)) if *d == day => builder.visit(unit as u64, primary),
-                slot => {
-                    if let Some((_, builder)) = slot.take() {
-                        agg.record(&builder.finish());
-                    }
-                    let mut builder = DayGraphBuilder::new();
-                    builder.visit(unit as u64, primary);
-                    *slot = Some((day, builder));
-                }
-            }
-        }
-        if let Some((_, builder)) = current {
-            agg.record(&builder.finish());
-        }
-    }
-
-    let table = agg.table();
-    println!(
-        "{} motif classes over {} user-days ({} oversize days, {} unrecognized stays skipped)",
-        table.classes.len(),
-        table.total_days,
-        table.oversize_days,
-        unrecognized,
-    );
-    for class in table.classes.iter().take(args.top) {
-        println!(
-            "  #{:<3} form {:#018x}  {} nodes / {} edges  {:>6} days  share {:.4}",
-            class.id, class.form, class.nodes, class.edges, class.days, class.share
-        );
-    }
-
-    let out = args.out.as_ref().unwrap_or(path);
-    let artifact = artifact.with_motifs(table);
-    artifact
-        .write_file(out)
-        .map_err(|e| format!("{}: {e}", out.display()))?;
-    eprintln!(
-        "wrote motif-bearing artifact to {} ({})",
-        out.display(),
-        artifact.describe()
-    );
-    Ok(())
-}
-
-/// The trajectory corpus a mining command works over: a journeys CSV when
-/// given, otherwise the synthetic city `--scale`/`--seed` describe.
-fn trajectory_corpus(
-    args: &Args,
-    params: &MinerParams,
-    what: &str,
-) -> Result<Vec<SemanticTrajectory>, String> {
-    match &args.journeys {
-        Some(journeys_path) => {
-            let projection = pervasive_miner::io::default_projection();
-            let text = std::fs::read_to_string(journeys_path)
-                .map_err(|e| format!("{}: {e}", journeys_path.display()))?;
-            let mode = if args.lenient {
-                IngestMode::Lenient
-            } else {
-                IngestMode::Strict
-            };
-            let (journeys, report) =
-                read_journeys_observed(&text, &projection, mode, params.threads, &Obs::noop())
-                    .map_err(|e| {
-                        format!(
-                            "{}: {e} (use --lenient to quarantine bad lines)",
-                            journeys_path.display()
-                        )
-                    })?;
-            report_quarantine(journeys_path, &report);
-            Ok(journeys_to_trajectories(&journeys))
-        }
-        None => {
-            let cfg = config(&args.scale, args.seed)?;
-            eprintln!(
-                "generating {} city (seed {}) as the {what} corpus ...",
-                args.scale, args.seed
-            );
-            Ok(Dataset::generate(&cfg).trajectories)
-        }
-    }
-}
-
-/// `cohorts`: embed every user in the corpus as a semantic-unit
-/// visit/transition vector, cluster the population into life-pattern
-/// cohorts, and write the resulting [`pervasive_miner::cohort::CohortTable`] into the
-/// artifact as its optional `coho` section (served at `GET /v1/cohorts`,
-/// `GET /v1/users/:id/patterns`, and `GET /v1/users/:id/similar`).
-fn cohorts_command(args: &Args, params: &MinerParams) -> Result<(), String> {
-    use pervasive_miner::cluster::GaussianKernel;
-    use pervasive_miner::cohort::{embed_users, CohortParams, CohortTable, UserStay};
-    use pervasive_miner::core::recognize::recognize_stay_point_unit;
-
-    let path = args
-        .artifact
-        .as_ref()
-        .ok_or("cohorts needs --artifact FILE (produce one with `mine --artifact`)")?;
-    let artifact = Artifact::read_file(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    eprintln!("loaded {}: {}", path.display(), artifact.describe());
-
-    let trajectories = trajectory_corpus(args, params, "cohort")?;
-
-    // One user per carded passenger ("card-N"); anonymous trajectories
-    // each stand alone ("uIDX" by corpus position) — the same identity
-    // rule the replay command applies to the live stream.
-    let kernel = GaussianKernel::new(artifact.params.r3sigma);
-    let mut unrecognized = 0u64;
-    let mut groups: BTreeMap<String, Vec<UserStay>> = BTreeMap::new();
-    for (i, traj) in trajectories.iter().enumerate() {
-        let user = match traj.passenger {
-            Some(card) => format!("card-{card}"),
-            None => format!("u{i}"),
-        };
-        let stays = groups.entry(user).or_default();
-        for sp in &traj.stays {
-            let (unit, _tags, primary) = recognize_stay_point_unit(&artifact.csd, &kernel, sp.pos);
-            let Some(unit) = unit else {
-                unrecognized += 1;
-                continue;
-            };
-            stays.push(UserStay {
-                unit: unit as u64,
-                category: primary,
-                time: sp.time,
-            });
-        }
-    }
-    groups.retain(|_, stays| !stays.is_empty());
-    let groups: Vec<(String, Vec<UserStay>)> = groups.into_iter().collect();
-
-    let cohort_params = CohortParams {
-        k: args.k,
-        seed: args.seed,
-        k_min: args.k_min,
-        threads: params.threads,
-        ..CohortParams::default()
-    };
-    let embeddings = embed_users(&groups, cohort_params.threads);
-    let table = CohortTable::mine(embeddings, &cohort_params);
-
-    let hidden = table
-        .cohorts
-        .iter()
-        .filter(|c| table.suppressed(c.size))
-        .count();
-    println!(
-        "{} users in {} cohorts ({} below the k-anonymity floor of {}) via {} ({} unrecognized stays skipped)",
-        table.users.len(),
-        table.cohorts.len(),
-        hidden,
-        table.k_min,
-        table.method.name(),
-        unrecognized,
-    );
-    for cohort in &table.cohorts {
-        if table.suppressed(cohort.size) {
-            println!(
-                "  cohort {:<3} suppressed (size < {})",
-                cohort.id, table.k_min
-            );
-            continue;
-        }
-        let dominant = cohort
-            .dominant_category()
-            .map(|c| c.name())
-            .unwrap_or("untagged");
-        println!(
-            "  cohort {:<3} {:>6} users  dominant {:<20} avg {:.1} active days / {:.1} stays",
-            cohort.id, cohort.size, dominant, cohort.mean_active_days, cohort.mean_stays
-        );
-    }
-    for user in table.users.iter().take(args.top) {
-        println!(
-            "  user {}  cohort {}  stays {}  active-days {}",
-            user.user, user.cohort, user.stays, user.active_days
-        );
-    }
-
-    let out = args.out.as_ref().unwrap_or(path);
-    let artifact = artifact.with_cohorts(table);
-    artifact
-        .write_file(out)
-        .map_err(|e| format!("{}: {e}", out.display()))?;
-    eprintln!(
-        "wrote cohort-bearing artifact to {} ({})",
-        out.display(),
-        artifact.describe()
-    );
-    Ok(())
-}
-
 /// Reloads an artifact, proves it re-serializes byte-identically — the
 /// on-disk integrity check scripts run after `mine --artifact` — and
 /// reports the section layout, naming which optional sections (motifs,
@@ -1140,49 +892,49 @@ fn report_quarantine(path: &Path, report: &QuarantineReport) {
     }
 }
 
-fn mine_pipeline(
+/// The single mining pass over a corpus (see
+/// [`pervasive_miner::serve::mine_artifact`]), with a summary of each
+/// product on stdout.
+///
+/// One user per carded passenger ("card-N"); anonymous trajectories each
+/// stand alone ("uIDX" by corpus position). `--seed` seeds the cohort
+/// clustering.
+fn mine_corpus(
     pois: &[Poi],
     trajectories: Vec<SemanticTrajectory>,
     params: &MinerParams,
+    args: &Args,
     obs: &Obs,
-    top: usize,
-) -> Result<(CitySemanticDiagram, Vec<FinePattern>), String> {
-    let mut events = Vec::new();
-    let stays = stay_points_of(&trajectories);
-    let csd = CitySemanticDiagram::build_observed(
-        pois,
-        &stays,
-        params,
-        ConstructionOptions::default(),
-        obs,
-    )
-    .map_err(|e| e.to_string())?;
-    let recognized = pervasive_miner::core::recognize::recognize_all_observed(
-        &csd,
-        trajectories,
-        params,
-        &mut events,
-        obs,
-    )
-    .map_err(|e| e.to_string())?;
-    let patterns = pervasive_miner::core::extract::extract_patterns_observed(
-        &recognized,
-        params,
-        &mut events,
-        obs,
-    )
-    .map_err(|e| e.to_string())?;
-    // Post-construction degradations (recognition + extraction); the
-    // construction ones were tallied inside `build_observed`.
-    pervasive_miner::core::error::record_degradations(obs, &events);
+) -> Result<Artifact, String> {
+    let corpus = trajectories
+        .into_iter()
+        .enumerate()
+        .map(|(i, traj)| {
+            let user = match traj.passenger {
+                Some(card) => format!("card-{card}"),
+                None => format!("u{i}"),
+            };
+            (user, traj)
+        })
+        .collect();
+    let cohort_params = CohortParams {
+        k: args.k,
+        seed: args.seed,
+        k_min: args.k_min,
+        threads: params.threads,
+        ..CohortParams::default()
+    };
+    let artifact =
+        mine_artifact(pois, corpus, params, &cohort_params, obs).map_err(|e| e.to_string())?;
+
     let span = obs.span("metrics.summarize");
-    let summary = pervasive_miner::core::metrics::summarize(&patterns);
+    let summary = pervasive_miner::core::metrics::summarize(&artifact.patterns);
     span.finish();
     println!(
         "{} fine-grained patterns, coverage {}, avg sparsity {:.1} m, avg consistency {:.3}",
         summary.n_patterns, summary.coverage, summary.avg_sparsity, summary.avg_consistency
     );
-    for p in patterns.iter().take(top) {
+    for p in artifact.patterns.iter().take(args.top) {
         let m = pervasive_miner::core::metrics::pattern_metrics(p);
         println!(
             "  {:<55} support {:>5}  sparsity {:>6.1} m  consistency {:.3}",
@@ -1192,7 +944,61 @@ fn mine_pipeline(
             m.semantic_consistency
         );
     }
-    Ok((csd, patterns))
+
+    if let Some(motifs) = &artifact.motifs {
+        println!(
+            "{} motif classes over {} user-days ({} oversize days)",
+            motifs.classes.len(),
+            motifs.total_days,
+            motifs.oversize_days,
+        );
+        for class in motifs.classes.iter().take(args.top) {
+            println!(
+                "  #{:<3} form {:#018x}  {} nodes / {} edges  {:>6} days  share {:.4}",
+                class.id, class.form, class.nodes, class.edges, class.days, class.share
+            );
+        }
+    }
+
+    if let Some(table) = &artifact.cohorts {
+        let hidden = table
+            .cohorts
+            .iter()
+            .filter(|c| table.suppressed(c.size))
+            .count();
+        println!(
+            "{} users in {} cohorts ({} below the k-anonymity floor of {}) via {}",
+            table.users.len(),
+            table.cohorts.len(),
+            hidden,
+            table.k_min,
+            table.method.name(),
+        );
+        for cohort in &table.cohorts {
+            if table.suppressed(cohort.size) {
+                println!(
+                    "  cohort {:<3} suppressed (size < {})",
+                    cohort.id, table.k_min
+                );
+                continue;
+            }
+            let dominant = cohort
+                .dominant_category()
+                .map(|c| c.name())
+                .unwrap_or("untagged");
+            println!(
+                "  cohort {:<3} {:>6} users  dominant {:<20} avg {:.1} active days / {:.1} stays",
+                cohort.id, cohort.size, dominant, cohort.mean_active_days, cohort.mean_stays
+            );
+        }
+        for user in table.users.iter().take(args.top) {
+            println!(
+                "  user {}  cohort {}  stays {}  active-days {}",
+                user.user, user.cohort, user.stays, user.active_days
+            );
+        }
+    }
+    Ok(artifact)
 }
 
 fn svg(ds: &Dataset, params: &MinerParams, args: &Args) -> Result<(), String> {

@@ -1,7 +1,8 @@
 //! The persisted per-user pattern index: [`CohortTable`], its cohort
 //! aggregates, and the exact-scan similar-user search over it.
 //!
-//! A table is mined once (CLI `cohorts` command) and then served immutably:
+//! A table is mined once (by the single mining pass behind `mine --artifact`
+//! and the background re-miner) and then served immutably:
 //! `users` sort by user id so lookups binary-search, cohort ids are
 //! canonical (size desc), and every float persists as its IEEE-754 bit
 //! pattern — the table that loads is the table that was mined.

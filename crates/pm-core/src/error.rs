@@ -12,8 +12,9 @@
 //! - **Degradations** record recoverable trouble the pipeline worked around:
 //!   non-finite coordinates filtered out, a degenerate cluster kept unsplit,
 //!   quarantined input lines. The run continues; the events are surfaced
-//!   through [`CitySemanticDiagram::degradations`] and the `*_tracked`
-//!   function variants so callers can audit what was silently tolerated.
+//!   through [`CitySemanticDiagram::degradations`] and the event sinks of
+//!   the `*_tracked` and `*_observed` function variants so callers can
+//!   audit what was silently tolerated.
 //!
 //! Everything here is `std`-only: `MinerError` implements
 //! [`std::error::Error`] and composes with `?` and `Box<dyn Error>` without

@@ -78,33 +78,26 @@ struct Member {
 /// Algorithm 4 per coarse pattern. Output is deterministic: sorted by
 /// descending support, then by category sequence.
 ///
-/// Convenience wrapper over [`extract_patterns_tracked`] that discards
+/// Convenience wrapper over [`extract_patterns_observed`] that discards
 /// degradation events.
 pub fn extract_patterns(
     db: &[SemanticTrajectory],
     params: &MinerParams,
 ) -> Result<Vec<FinePattern>, MinerError> {
     let mut events = Vec::new();
-    extract_patterns_tracked(db, params, &mut events)
+    extract_patterns_observed(db, params, &mut events, &pm_obs::Obs::noop())
 }
 
 /// Like [`extract_patterns`], additionally recording recoverable trouble:
 /// tagged stay points with non-finite positions are excluded from the
 /// sequences (they cannot be clustered or represent a pattern position) and
 /// reported as [`Degradation::SkippedExtractionStays`].
-pub fn extract_patterns_tracked(
-    db: &[SemanticTrajectory],
-    params: &MinerParams,
-    events: &mut Vec<Degradation>,
-) -> Result<Vec<FinePattern>, MinerError> {
-    extract_patterns_observed(db, params, events, &pm_obs::Obs::noop())
-}
-
-/// [`extract_patterns_tracked`] under observation: sequence building,
-/// PrefixSpan, and the counterpart refinement are timed as `extract.*` spans
-/// (the per-pattern OPTICS runs additionally record `cluster.optics` spans
-/// on their worker threads), and coarse/fine pattern counts are recorded.
-/// The mined patterns are byte-identical to an unobserved run.
+///
+/// Sequence building, PrefixSpan, and the counterpart refinement are timed
+/// as `extract.*` spans (the per-pattern OPTICS runs additionally record
+/// `cluster.optics` spans on their worker threads), and coarse/fine pattern
+/// counts are recorded. The mined patterns are byte-identical under
+/// [`pm_obs::Obs::noop`].
 pub fn extract_patterns_observed(
     db: &[SemanticTrajectory],
     params: &MinerParams,
@@ -525,7 +518,8 @@ mod tests {
         db[0].stays[0].pos = LocalPoint::new(f64::NAN, 0.0);
         let mut events = Vec::new();
         let patterns =
-            extract_patterns_tracked(&db, &small_params(), &mut events).expect("extract");
+            extract_patterns_observed(&db, &small_params(), &mut events, &pm_obs::Obs::noop())
+                .expect("extract");
         assert_eq!(
             events,
             vec![Degradation::SkippedExtractionStays { count: 1 }]

@@ -57,7 +57,7 @@
 //! typed [`error::MinerError`], while degenerate *data* (non-finite
 //! coordinates, degenerate clusters) degrades gracefully and is reported
 //! through [`construct::CitySemanticDiagram::degradations`] and the
-//! `*_tracked` function variants in [`recognize`] and [`extract`].
+//! `*_observed` function variants in [`recognize`] and [`extract`].
 
 pub mod construct;
 pub mod contain;

@@ -100,17 +100,10 @@ pub fn semantic_trajectory(traj: &GpsTrajectory, params: &MinerParams) -> Semant
 /// independent, so workers fill disjoint output slots and the result is
 /// bit-identical to the serial loop). Degradation events are folded back in
 /// trajectory order, exactly as a serial sweep would record them.
-pub fn detect_all_stay_points_tracked(
-    trajectories: &[GpsTrajectory],
-    params: &MinerParams,
-    events: &mut Vec<Degradation>,
-) -> Vec<Vec<StayPoint>> {
-    detect_all_stay_points_observed(trajectories, params, events, &pm_obs::Obs::noop())
-}
-
-/// [`detect_all_stay_points_tracked`] under observation: the corpus sweep is
-/// timed as a `recognize.stay_detect` span and the extracted stay points are
-/// counted. The detected stay points are byte-identical either way.
+///
+/// The corpus sweep is timed as a `recognize.stay_detect` span and the
+/// extracted stay points are counted; pass [`pm_obs::Obs::noop`] to skip
+/// both. The detected stay points are byte-identical either way.
 pub fn detect_all_stay_points_observed(
     trajectories: &[GpsTrajectory],
     params: &MinerParams,
@@ -143,7 +136,7 @@ pub fn semantic_trajectories_of(
     params: &MinerParams,
 ) -> Vec<SemanticTrajectory> {
     let mut events = Vec::new();
-    detect_all_stay_points_tracked(trajectories, params, &mut events)
+    detect_all_stay_points_observed(trajectories, params, &mut events, &pm_obs::Obs::noop())
         .into_iter()
         .map(SemanticTrajectory::new)
         .collect()
@@ -260,24 +253,14 @@ pub fn recognize_all(
     params: &MinerParams,
 ) -> Result<Vec<SemanticTrajectory>, MinerError> {
     let mut events = Vec::new();
-    recognize_all_tracked(csd, trajectories, params, &mut events)
+    recognize_all_observed(csd, trajectories, params, &mut events, &pm_obs::Obs::noop())
 }
 
 /// Like [`recognize_all`], additionally recording how many stay points were
-/// left untagged because their position is non-finite.
-pub fn recognize_all_tracked(
-    csd: &CitySemanticDiagram,
-    trajectories: Vec<SemanticTrajectory>,
-    params: &MinerParams,
-    events: &mut Vec<Degradation>,
-) -> Result<Vec<SemanticTrajectory>, MinerError> {
-    recognize_all_observed(csd, trajectories, params, events, &pm_obs::Obs::noop())
-}
-
-/// [`recognize_all_tracked`] under observation: the voting sweep is timed as
-/// a `recognize.vote` span, and tagged/untagged stay points plus the ballots
-/// cast (one per in-range unit-owned POI) are counted. The tagging produced
-/// is byte-identical to an unobserved run.
+/// left untagged because their position is non-finite. The voting sweep is
+/// timed as a `recognize.vote` span, and tagged/untagged stay points plus
+/// the ballots cast (one per in-range unit-owned POI) are counted. The
+/// tagging produced is byte-identical under [`pm_obs::Obs::noop`].
 pub fn recognize_all_observed(
     csd: &CitySemanticDiagram,
     trajectories: Vec<SemanticTrajectory>,
@@ -488,7 +471,8 @@ mod tests {
             StayPoint::untagged(LocalPoint::new(0.0, 0.0), 3600),
         ])];
         let mut events = Vec::new();
-        let out = recognize_all_tracked(&csd, trajs, &params, &mut events).expect("recognize");
+        let out = recognize_all_observed(&csd, trajs, &params, &mut events, &pm_obs::Obs::noop())
+            .expect("recognize");
         assert!(out[0].stays[0].tags.is_empty());
         assert!(out[0].stays[1].tags.contains(Category::Shop));
         assert_eq!(
@@ -572,7 +556,8 @@ mod tests {
         for threads in [1, 4] {
             let p = MinerParams { threads, ..params };
             let mut events = Vec::new();
-            let batch = detect_all_stay_points_tracked(&tracks, &p, &mut events);
+            let batch =
+                detect_all_stay_points_observed(&tracks, &p, &mut events, &pm_obs::Obs::noop());
             assert_eq!(batch, serial, "threads = {threads}");
             assert_eq!(events, serial_events);
         }

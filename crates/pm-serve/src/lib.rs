@@ -57,8 +57,9 @@
 //! shard logs its slice of every accepted batch before its engine sees it
 //! and checkpoints its state periodically — a killed process recovers its
 //! exact live state on restart. A [`Reminer`] supervises periodic background re-mining
-//! over the accumulated stays: panic-isolated, deadline-bounded jobs whose
-//! artifacts publish through a read-back-verified [`pm_store::GenerationStore`]
+//! over the accumulated stays: panic-isolated, deadline-bounded jobs run
+//! [`mine_artifact`], the same single pass that builds the CLI's artifacts,
+//! and publish through a read-back-verified [`pm_store::GenerationStore`]
 //! before the serving snapshot swaps. Miner failures back off exponentially
 //! and trip a circuit breaker; the serving path never 5xxs because of them.
 
@@ -72,7 +73,7 @@ pub mod snapshot;
 pub mod state;
 
 pub use epoch::EpochCell;
-pub use miner::{FailureKind, InjectedFault, MinerStatus, RemineConfig, Reminer};
+pub use miner::{mine_artifact, FailureKind, InjectedFault, MinerStatus, RemineConfig, Reminer};
 pub use server::{ServeConfig, Server, ShutdownHandle};
 pub use snapshot::{CohortLookup, CohortQuery, MotifQuery, SimilarQuery, Snapshot};
 pub use state::ServeState;

@@ -1,8 +1,9 @@
 //! The supervised background re-miner.
 //!
 //! A [`Reminer`] owns one supervisor thread that periodically re-mines the
-//! full pipeline (CSD construction → recognition → extraction) over the
-//! stays the live engine has accumulated, publishes the result through a
+//! stays the live engine has accumulated through [`mine_artifact`] — the
+//! same single pass `mine --artifact` runs, so every generation carries
+//! the CSD, patterns, motifs and cohorts — publishes the result through a
 //! crash-safe [`GenerationStore`], and hot-swaps the serving snapshot — the
 //! online analogue of re-running `mine --artifact` + `POST /v1/reload`.
 //!
@@ -35,12 +36,19 @@
 
 use crate::snapshot::Snapshot;
 use crate::state::ServeState;
-use pm_core::extract::extract_patterns;
-use pm_core::recognize::{recognize_all, stay_points_of};
-use pm_core::types::{SemanticTrajectory, StayPoint};
+use pm_cluster::GaussianKernel;
+use pm_cohort::{embed_users, CohortParams, CohortTable, UserStay};
+use pm_core::construct::{CitySemanticDiagram, ConstructionOptions};
+use pm_core::error::{record_degradations, MinerError};
+use pm_core::extract::extract_patterns_observed;
+use pm_core::params::MinerParams;
+use pm_core::recognize::{recognize_all_observed, recognize_stay_point_unit, stay_points_of};
+use pm_core::types::{Poi, SemanticTrajectory, StayPoint};
+use pm_motif::{DayGraphBuilder, MotifAggregator};
 use pm_obs::Obs;
 use pm_runtime::{Backoff, CircuitBreaker, CircuitState, WorkerPool};
 use pm_store::{Artifact, GenerationStore};
+use pm_stream::DAY_SECS;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -507,13 +515,105 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The actual re-mining pipeline: accumulated stays → per-user semantic
-/// trajectories → CSD → recognition → extraction → artifact bytes.
+/// One mining pass over a corpus, producing every section an artifact
+/// carries: the CSD, the fine-grained patterns, the daily motif table and
+/// the cohort table. The CLI's `mine` and the background [`Reminer`] both
+/// build their artifacts here.
+///
+/// `corpus` pairs each trajectory with its user id. After CSD construction,
+/// Algorithm 3 and pattern extraction, one sweep recognizes each stay's
+/// winning unit and primary category against the new CSD. That sweep feeds
+/// both the motif table (one day graph per trajectory and absolute day) and
+/// the cohort table (one embedding per user id, over all of that user's
+/// trajectories in corpus order). Stays with no unit in range take part in
+/// neither, and users left without stays are not embedded.
+///
+/// Besides the stage spans of construction, recognition and extraction,
+/// the pass records `recognize.units`, `motifs.mine` and `cohorts.mine`
+/// spans on `obs`. Deterministic: the same inputs give the same artifact
+/// bytes at any thread count and under any `obs` (the artifact stores
+/// `params.threads` itself). The artifact carries no projection.
+pub fn mine_artifact(
+    pois: &[Poi],
+    corpus: Vec<(String, SemanticTrajectory)>,
+    params: &MinerParams,
+    cohort: &CohortParams,
+    obs: &Obs,
+) -> Result<Artifact, MinerError> {
+    let (users, trajectories): (Vec<String>, Vec<SemanticTrajectory>) = corpus.into_iter().unzip();
+    let csd = CitySemanticDiagram::build_observed(
+        pois,
+        &stay_points_of(&trajectories),
+        params,
+        ConstructionOptions::default(),
+        obs,
+    )?;
+    let mut events = Vec::new();
+    let recognized = recognize_all_observed(&csd, trajectories, params, &mut events, obs)?;
+    let patterns = extract_patterns_observed(&recognized, params, &mut events, obs)?;
+    // Construction tallied its own degradations inside `build_observed`.
+    record_degradations(obs, &events);
+
+    let span = obs.span("recognize.units");
+    let kernel = GaussianKernel::new(params.r3sigma);
+    let unit_stays: Vec<Vec<UserStay>> = recognized
+        .iter()
+        .map(|traj| {
+            traj.stays
+                .iter()
+                .filter_map(|sp| {
+                    let (unit, _tags, category) = recognize_stay_point_unit(&csd, &kernel, sp.pos);
+                    unit.map(|unit| UserStay {
+                        unit: unit as u64,
+                        category,
+                        time: sp.time,
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    span.finish();
+
+    let span = obs.span("motifs.mine");
+    let mut motifs = MotifAggregator::new();
+    for stays in &unit_stays {
+        let same_day =
+            |a: &UserStay, b: &UserStay| a.time.div_euclid(DAY_SECS) == b.time.div_euclid(DAY_SECS);
+        for day in stays.chunk_by(same_day) {
+            let mut builder = DayGraphBuilder::new();
+            for stay in day {
+                builder.visit(stay.unit, stay.category);
+            }
+            motifs.record(&builder.finish());
+        }
+    }
+    let motifs = motifs.table();
+    span.finish();
+
+    let span = obs.span("cohorts.mine");
+    let mut groups: BTreeMap<String, Vec<UserStay>> = BTreeMap::new();
+    for (user, stays) in users.into_iter().zip(unit_stays) {
+        groups.entry(user).or_default().extend(stays);
+    }
+    groups.retain(|_, stays| !stays.is_empty());
+    let groups: Vec<(String, Vec<UserStay>)> = groups.into_iter().collect();
+    let cohorts = CohortTable::mine(embed_users(&groups, cohort.threads), cohort);
+    span.finish();
+
+    Ok(Artifact::new(csd, patterns, *params)
+        .with_motifs(motifs)
+        .with_cohorts(cohorts))
+}
+
+/// The re-mining job: accumulated stays → one trajectory per live user →
+/// [`mine_artifact`] → artifact bytes.
 ///
 /// The base snapshot provides the POI database, parameters, and projection;
-/// only the stay corpus (and therefore popularity, units, and patterns) is
-/// refreshed. Deterministic: the same stays against the same base always
-/// produce the same bytes.
+/// only the stay corpus (and therefore popularity, units, patterns, motifs
+/// and cohorts) is refreshed. Cohorts use an automatic `k` and keep the
+/// base cohort table's anonymity floor and seed (the defaults when the base
+/// has none), so a re-mine never lowers `k_min`. Deterministic: the same
+/// stays against the same base always produce the same bytes.
 fn mine_bytes(
     stays: &[(String, StayPoint)],
     base: &Snapshot,
@@ -536,28 +636,32 @@ fn mine_bytes(
     for (user, stay) in stays {
         by_user.entry(user).or_default().push(*stay);
     }
-    let trajectories: Vec<SemanticTrajectory> = by_user
-        .into_values()
-        .map(|mut stays| {
+    let corpus: Vec<(String, SemanticTrajectory)> = by_user
+        .into_iter()
+        .map(|(user, mut stays)| {
             stays.sort_by_key(|s| s.time);
-            SemanticTrajectory::new(stays)
+            (user.to_string(), SemanticTrajectory::new(stays))
         })
         .collect();
 
-    let mut params = base.artifact().params;
+    let base = base.artifact();
     // The background job shares the box with the serving path; keep it on
     // one core. Results are bit-identical at every thread count.
-    params.threads = 1;
-    let pois = base.artifact().csd.pois().to_vec();
-    let positions = stay_points_of(&trajectories);
-    let csd = pm_core::construct::CitySemanticDiagram::build(&pois, &positions, &params)
-        .map_err(|e| e.to_string())?;
-    let recognized = recognize_all(&csd, trajectories, &params).map_err(|e| e.to_string())?;
-    let patterns = extract_patterns(&recognized, &params).map_err(|e| e.to_string())?;
-    let mut artifact = Artifact::new(csd, patterns, params);
-    if let Some(origin) = base.artifact().projection {
-        artifact = artifact.with_projection(origin);
+    let params = MinerParams {
+        threads: 1,
+        ..base.params
+    };
+    let mut cohort = CohortParams {
+        threads: 1,
+        ..CohortParams::default()
+    };
+    if let Some(table) = &base.cohorts {
+        cohort.k_min = table.k_min;
+        cohort.seed = table.seed;
     }
+    let mut artifact = mine_artifact(base.csd.pois(), corpus, &params, &cohort, &Obs::noop())
+        .map_err(|e| e.to_string())?;
+    artifact.projection = base.projection;
     let mut bytes = artifact.to_bytes();
     if corrupt {
         let mid = bytes.len() / 2;

@@ -409,7 +409,7 @@ fn route(
                 Some(body) => (200, body, "motifs"),
                 None => (
                     404,
-                    error_body("artifact has no motif table; mine one with the motifs command"),
+                    error_body("artifact has no motif table; mine one with `mine --artifact`"),
                     "motifs",
                 ),
             },
@@ -426,9 +426,7 @@ fn route(
                     obs.incr("cohort.missing_section", 1);
                     (
                         404,
-                        error_body(
-                            "artifact has no cohort index; mine one with the cohorts command",
-                        ),
+                        error_body("artifact has no cohort index; mine one with `mine --artifact`"),
                         "cohorts",
                     )
                 }
@@ -546,7 +544,7 @@ fn route_user(
             obs.incr("cohort.missing_section", 1);
             (
                 404,
-                error_body("artifact has no cohort index; mine one with the cohorts command"),
+                error_body("artifact has no cohort index; mine one with `mine --artifact`"),
                 endpoint,
             )
         }

@@ -306,7 +306,7 @@ fn cohort_endpoints_404_with_hint_on_pre_cohort_artifacts() {
     ] {
         let (status, body) = client::get(server.addr, target).unwrap();
         assert_eq!(status, 404, "{target}: {body}");
-        assert!(body.contains("cohorts command"), "{target}: {body}");
+        assert!(body.contains("mine --artifact"), "{target}: {body}");
     }
     assert_eq!(
         server

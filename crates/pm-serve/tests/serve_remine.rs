@@ -4,15 +4,19 @@
 //! or produce corrupt artifacts, and the serving path still never answers
 //! 5xx, never swaps in a bad snapshot, records every failure kind in the
 //! `miner.*` counters, and recovers (backoff + circuit breaker) once the
-//! faults stop. Plus the satellite behaviours: `Retry-After` on overload
-//! answers and a final WAL checkpoint on graceful shutdown.
+//! faults stop. A successful re-mine publishes every section the CLI's
+//! `mine --artifact` writes, recomputed from the live stays, and keeps the
+//! base cohort table's anonymity floor and seed. Plus the satellite
+//! behaviours: `Retry-After` on overload answers and a final WAL
+//! checkpoint on graceful shutdown.
 
+use pm_cohort::CohortParams;
 use pm_core::prelude::*;
-use pm_core::recognize::stay_points_of;
 use pm_geo::{GeoPoint, LocalPoint};
 use pm_obs::Obs;
 use pm_serve::{
-    client, InjectedFault, RemineConfig, Reminer, ServeConfig, ServeState, Server, Snapshot,
+    client, mine_artifact, InjectedFault, RemineConfig, Reminer, ServeConfig, ServeState, Server,
+    Snapshot,
 };
 use pm_store::{Artifact, GenerationStore};
 use pm_stream::{EngineConfig, WalConfig};
@@ -36,7 +40,14 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// One mined, geo-anchored artifact (same fixture as the other suites).
+/// The base artifact's cohort anonymity floor and seed, both off their
+/// defaults so a re-mine that fell back to the defaults would show.
+const BASE_K_MIN: u32 = 7;
+const BASE_SEED: u64 = 99;
+
+/// One mined, geo-anchored artifact carrying every section (same city as
+/// the other suites), its cohorts mined with [`BASE_K_MIN`] and
+/// [`BASE_SEED`].
 fn artifact() -> &'static Artifact {
     static ART: OnceLock<Artifact> = OnceLock::new();
     ART.get_or_init(|| {
@@ -45,12 +56,20 @@ fn artifact() -> &'static Artifact {
             sigma: 20,
             ..MinerParams::default()
         };
-        let stays = stay_points_of(&ds.trajectories);
-        let csd = CitySemanticDiagram::build(&ds.pois, &stays, &params).expect("build");
-        let recognized = recognize_all(&csd, ds.trajectories, &params).expect("recognize");
-        let patterns = extract_patterns(&recognized, &params).expect("extract");
-        let artifact =
-            Artifact::new(csd, patterns, params).with_projection(GeoPoint::new(ORIGIN.0, ORIGIN.1));
+        let cohort = CohortParams {
+            k_min: BASE_K_MIN,
+            seed: BASE_SEED,
+            ..CohortParams::default()
+        };
+        let corpus = ds
+            .trajectories
+            .into_iter()
+            .enumerate()
+            .map(|(i, traj)| (format!("rider-{i}"), traj))
+            .collect();
+        let artifact = mine_artifact(&ds.pois, corpus, &params, &cohort, &Obs::noop())
+            .expect("mine")
+            .with_projection(GeoPoint::new(ORIGIN.0, ORIGIN.1));
         Artifact::from_bytes(&artifact.to_bytes()).expect("store round-trip")
     })
 }
@@ -132,17 +151,23 @@ fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
     }
 }
 
-/// Feeds 12 stay records (two users, alternating tagged centers) so the
-/// engine accumulates re-minable stays.
-fn seed_stays(addr: SocketAddr) {
+/// 12 stay records: two users, six stays each within one day, alternating
+/// between two tagged centers.
+fn seed_records() -> Vec<(&'static str, LocalPoint, i64)> {
     let (a, b) = tagged_centers();
-    let mut records: Vec<(&str, LocalPoint, i64)> = Vec::new();
+    let mut records = Vec::new();
     for i in 0..6i64 {
         let pos = if i % 2 == 0 { a } else { b };
         records.push(("u1", pos, 1_000 + 100 * i));
         records.push(("u2", pos, 1_000 + 100 * i));
     }
-    let (status, body) = client::post(addr, "/v1/ingest", &stays_body(&records)).expect("ingest");
+    records
+}
+
+/// Feeds the [`seed_records`] so the engine accumulates re-minable stays.
+fn seed_stays(addr: SocketAddr) {
+    let (status, body) =
+        client::post(addr, "/v1/ingest", &stays_body(&seed_records())).expect("ingest");
     assert_eq!(status, 200, "{body}");
 }
 
@@ -204,6 +229,132 @@ fn reminer_publishes_a_generation_and_swaps_the_snapshot() {
     assert_eq!(server.obs.counter("miner.failures_panic"), 0);
 
     reminer.stop();
+    server.stop();
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+/// Serves the fixture, feeds it `records`, and runs the re-miner until it
+/// has published one generation. Returns the running server, the state,
+/// the published generation as decoded from the store, and the store dir.
+fn remine_once(
+    records: &[(&str, LocalPoint, i64)],
+) -> (Running, Arc<ServeState>, Artifact, PathBuf) {
+    let state = Arc::new(
+        ServeState::new(snapshot(), EngineConfig::from_miner(&artifact().params)).expect("state"),
+    );
+    let server = start_state(Arc::clone(&state), ServeConfig::default());
+    let (status, body) =
+        client::post(server.addr, "/v1/ingest", &stays_body(records)).expect("ingest");
+    assert_eq!(status, 200, "{body}");
+
+    let store_dir = scratch("sections");
+    let store = GenerationStore::open(&store_dir, 3).expect("store");
+    let reminer = Reminer::spawn(
+        Arc::clone(&state),
+        store.clone(),
+        RemineConfig {
+            interval: Duration::from_millis(10),
+            min_stays: 4,
+            ..RemineConfig::default()
+        },
+        server.obs.clone(),
+    );
+    assert!(
+        wait_until(Duration::from_secs(60), || reminer.status().jobs_succeeded
+            >= 1),
+        "re-miner never succeeded: {:?}",
+        reminer.status()
+    );
+    reminer.stop();
+    let (_, published) = store.latest_good().expect("scan").expect("good generation");
+    (server, state, published, store_dir)
+}
+
+#[test]
+fn remine_publishes_every_section_and_keeps_the_cohort_floor_and_seed() {
+    // A publish that dropped the motif or cohort section would turn these
+    // into 404s on a server booted from a fully mined artifact.
+    let (server, state, published, store_dir) = remine_once(&seed_records());
+
+    for target in ["/v1/motifs", "/v1/cohorts", "/v1/users/u1/patterns"] {
+        let (status, body) = client::get(server.addr, target).expect("get");
+        assert_eq!(status, 200, "{target}: {body}");
+    }
+    let served = state.snapshot().0;
+    let served = served.artifact();
+    // Recomputed from the live stays (u1 and u2, one day each, every stay
+    // recognized), under the base table's floor and seed.
+    let cohorts = served.cohorts.as_ref().expect("cohort section");
+    assert_eq!(cohorts.k_min, BASE_K_MIN);
+    assert_eq!(cohorts.seed, BASE_SEED);
+    let users: Vec<&str> = cohorts.users.iter().map(|u| u.user.as_str()).collect();
+    assert_eq!(users, ["u1", "u2"]);
+    assert!(cohorts.users.iter().all(|u| u.stays == 6), "{cohorts:?}");
+    let motifs = served.motifs.as_ref().expect("motif section");
+    assert_eq!(motifs.total_days, 2, "{motifs:?}");
+    // What is served is what the store verified.
+    assert_eq!(served.motifs, published.motifs);
+    assert_eq!(served.cohorts, published.cohorts);
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+#[test]
+fn remine_buckets_motif_days_and_active_days_by_absolute_day() {
+    // u1's last three stays move to the next day: three user-days in all.
+    let records: Vec<(&str, LocalPoint, i64)> = seed_records()
+        .into_iter()
+        .map(|(user, pos, t)| {
+            let next_day = user == "u1" && t >= 1_300;
+            (user, pos, if next_day { t + 86_400 } else { t })
+        })
+        .collect();
+    let (server, state, _, store_dir) = remine_once(&records);
+
+    let served = state.snapshot().0;
+    let served = served.artifact();
+    let motifs = served.motifs.as_ref().expect("motif section");
+    assert_eq!(motifs.total_days, 3, "{motifs:?}");
+    let cohorts = served.cohorts.as_ref().expect("cohort section");
+    let active: Vec<(&str, u64)> = cohorts
+        .users
+        .iter()
+        .map(|u| (u.user.as_str(), u.active_days))
+        .collect();
+    assert_eq!(active, [("u1", 2), ("u2", 1)]);
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+#[test]
+fn remine_with_no_recognized_stay_publishes_empty_tables() {
+    // Far outside the city: no POI, hence no unit, within the kernel
+    // cutoff of any stay.
+    let far = LocalPoint::new(1.0e7, 1.0e7);
+    let records: Vec<(&str, LocalPoint, i64)> = (0..6i64)
+        .flat_map(|i| [("u1", far, 1_000 + 100 * i), ("u2", far, 1_000 + 100 * i)])
+        .collect();
+    let (server, state, published, store_dir) = remine_once(&records);
+
+    let motifs = published.motifs.as_ref().expect("motif section");
+    assert_eq!(motifs.total_days, 0);
+    assert!(motifs.classes.is_empty());
+    let cohorts = published.cohorts.as_ref().expect("cohort section");
+    assert!(cohorts.users.is_empty() && cohorts.cohorts.is_empty());
+    assert_eq!((cohorts.k_min, cohorts.seed), (BASE_K_MIN, BASE_SEED));
+    // The empty tables survive a second encode/decode unchanged.
+    let again = Artifact::from_bytes_verified(&published.to_bytes()).expect("round trip");
+    assert_eq!(again.motifs, published.motifs);
+    assert_eq!(again.cohorts, published.cohorts);
+    let served = state.snapshot().0;
+    assert_eq!(served.artifact().cohorts, published.cohorts);
+    for target in ["/v1/motifs", "/v1/cohorts"] {
+        let (status, body) = client::get(server.addr, target).expect("get");
+        assert_eq!(status, 200, "{target}: {body}");
+    }
+
     server.stop();
     let _ = std::fs::remove_dir_all(&store_dir);
 }

@@ -92,13 +92,14 @@ pub struct Artifact {
     pub csd: CitySemanticDiagram,
     /// The mined fine-grained pattern set, in the miner's output order.
     pub patterns: Vec<FinePattern>,
-    /// The daily mobility-motif table, when the `motifs` command computed
-    /// one. Persisted as the optional `motf` section: readers that predate
-    /// it skip the section instead of rejecting the artifact.
+    /// The daily mobility-motif table, when the run mined one (the single
+    /// mining pass always does). Persisted as the optional `motf` section:
+    /// readers that predate it skip the section instead of rejecting the
+    /// artifact.
     pub motifs: Option<MotifTable>,
-    /// The per-user cohort index, when the `cohorts` command mined one.
-    /// Persisted as the optional `coho` section under the same
-    /// forward-compatibility contract as `motf`.
+    /// The per-user cohort index, when the run mined one (the single
+    /// mining pass always does). Persisted as the optional `coho` section
+    /// under the same forward-compatibility contract as `motf`.
     pub cohorts: Option<CohortTable>,
 }
 

@@ -186,14 +186,19 @@ grep -q '"cohorts"' BENCH_pipeline.json \
     || die "cohort bench did not record its section in BENCH_pipeline.json"
 
 # Loadgen smoke: the sharded-ingest load generator (shards=8), recorded in
-# the same report. The committed loadgen section is the full 1M-user run,
-# so no smoke-vs-full delta is computed — the ingest guard above covers
-# throughput regressions at matched scale.
+# the same report. No smoke-vs-committed delta is computed — the ingest
+# guard above covers throughput regressions. The run must time the
+# transition window too: every user's last dwell has to close, so a
+# section with zero transitions fails.
 echo "==> cargo bench -p pm-bench --bench loadgen (PM_BENCH_SMOKE=1)"
 PM_BENCH_SMOKE=1 PM_BENCH_OUT="$workspace/BENCH_pipeline.json" \
     cargo bench -p pm-bench --bench loadgen
 grep -q '"loadgen"' BENCH_pipeline.json \
     || die "loadgen bench did not record its section in BENCH_pipeline.json"
+loadgen_transitions="$(bench_metric BENCH_pipeline.json loadgen - transitions)" \
+    || die "loadgen bench recorded no transitions count"
+[ "$loadgen_transitions" -gt 0 ] \
+    || die "loadgen bench emitted 0 transitions — the transition window went untimed"
 
 # Bench comparison table — markdown for the GitHub Actions step summary
 # when running under Actions, plain stdout otherwise. Latencies alarm when
@@ -292,54 +297,33 @@ else
 fi
 
 # Artifact round trip: mine the committed example data into a pm-store
-# artifact, then prove it reloads and re-serializes byte-identically.
-echo "==> artifact round trip (mine --artifact + artifact-check)"
+# artifact twice — one pass writes the CSD, patterns, motifs and cohorts —
+# and demand byte-identical stdout AND artifact bytes, then prove the
+# artifact reloads, re-serializes byte-identically and reports both
+# optional sections. The serve smoke below boots from this artifact, so
+# /v1/motifs and the cohort endpoints answer from real tables.
+echo "==> artifact round trip (mine --artifact twice + artifact-check)"
 artifact="$workspace/target/ci-city.pmstore"
-rm -f "$artifact"
-cargo run --release -q -p pm-cli -- mine \
-    --pois examples/data/pois.csv --journeys examples/data/journeys.csv \
-    --lenient --sigma 20 --top 0 --artifact "$artifact" > /dev/null
+mine_examples() {
+    cargo run --release -q -p pm-cli -- mine \
+        --pois examples/data/pois.csv --journeys examples/data/journeys.csv \
+        --lenient --sigma 20 --top 5 --artifact "$1" > "$2"
+}
+rm -f "$artifact" "$workspace/target/ci-city-2.pmstore"
+mine_examples "$artifact" "$workspace/target/ci-mine-1.txt"
 [ -s "$artifact" ] || die "mine --artifact wrote nothing"
-cargo run --release -q -p pm-cli -- artifact-check "$artifact"
-
-# Motif mining: run the motifs command twice over the same corpus and
-# demand byte-identical reports, then prove the motif-bearing artifact
-# still round-trips. The serve smoke below boots from this artifact, so
-# /v1/motifs answers from a real table.
-echo "==> motif mining (motifs command, determinism + round trip)"
-cargo run --release -q -p pm-cli -- motifs \
-    --artifact "$artifact" --journeys examples/data/journeys.csv --lenient \
-    > "$workspace/target/ci-motifs-1.txt"
-cargo run --release -q -p pm-cli -- motifs \
-    --artifact "$artifact" --journeys examples/data/journeys.csv --lenient \
-    > "$workspace/target/ci-motifs-2.txt"
-cmp -s "$workspace/target/ci-motifs-1.txt" "$workspace/target/ci-motifs-2.txt" \
-    || die "motifs output differs across identical runs"
-grep -q 'motif classes over' "$workspace/target/ci-motifs-1.txt" \
-    || die "motifs mined no classes"
-cargo run --release -q -p pm-cli -- artifact-check "$artifact"
-
-# Cohort mining: run the cohorts command twice over the same corpus and
-# demand byte-identical stdout AND a byte-identical artifact on disk, then
-# prove the (motif + cohort)-bearing artifact still round-trips and
-# reports both optional sections. The serve smoke below boots from this
-# artifact, so the cohort endpoints answer from a real table.
-echo "==> cohort mining (cohorts command, determinism + round trip)"
-cargo run --release -q -p pm-cli -- cohorts \
-    --artifact "$artifact" --journeys examples/data/journeys.csv --lenient \
-    > "$workspace/target/ci-cohorts-1.txt"
-cp "$artifact" "$workspace/target/ci-city-cohorts-1.pmstore"
-cargo run --release -q -p pm-cli -- cohorts \
-    --artifact "$artifact" --journeys examples/data/journeys.csv --lenient \
-    > "$workspace/target/ci-cohorts-2.txt"
-cmp -s "$workspace/target/ci-cohorts-1.txt" "$workspace/target/ci-cohorts-2.txt" \
-    || die "cohorts output differs across identical runs"
-cmp -s "$artifact" "$workspace/target/ci-city-cohorts-1.pmstore" \
-    || die "cohort-bearing artifact differs across identical runs"
-grep -q 'users in' "$workspace/target/ci-cohorts-1.txt" \
-    || die "cohorts mined no users"
+mine_examples "$workspace/target/ci-city-2.pmstore" "$workspace/target/ci-mine-2.txt"
+cmp -s "$workspace/target/ci-mine-1.txt" "$workspace/target/ci-mine-2.txt" \
+    || die "mine output differs across identical runs"
+cmp -s "$artifact" "$workspace/target/ci-city-2.pmstore" \
+    || die "mined artifact differs across identical runs"
+grep -q 'motif classes over' "$workspace/target/ci-mine-1.txt" \
+    || die "mine reported no motif table"
+grep -q 'users in' "$workspace/target/ci-mine-1.txt" \
+    || die "mine reported no cohort table"
 cargo run --release -q -p pm-cli -- artifact-check "$artifact" \
-    | grep -q 'optional sections: motifs, cohorts' \
+    | tee "$workspace/target/ci-artifact-check.txt"
+grep -q 'optional sections: motifs, cohorts' "$workspace/target/ci-artifact-check.txt" \
     || die "artifact-check does not report both optional sections"
 
 # Serve smoke test: boot the query service on an ephemeral port, hit it
@@ -374,7 +358,7 @@ if command -v curl > /dev/null 2>&1; then
 
     # Cohort endpoints: deterministic bodies from the cohort-bearing
     # artifact, double-fetched, plus the per-user index on a real user id
-    # taken from the cohorts command output.
+    # taken from the mine output.
     curl -fsS "http://$addr/v1/cohorts" > "$workspace/target/ci-cohorts-a.json"
     grep -q '"k_min"' "$workspace/target/ci-cohorts-a.json" \
         || die "cohort query failed"
@@ -382,8 +366,8 @@ if command -v curl > /dev/null 2>&1; then
     cmp -s "$workspace/target/ci-cohorts-a.json" "$workspace/target/ci-cohorts-b.json" \
         || die "cohort responses differ across identical queries"
     cohort_user="$(sed -n 's/^  user \([^ ]*\).*/\1/p' \
-        "$workspace/target/ci-cohorts-1.txt" | head -1)"
-    [ -n "$cohort_user" ] || die "cohorts output listed no users"
+        "$workspace/target/ci-mine-1.txt" | head -1)"
+    [ -n "$cohort_user" ] || die "mine output listed no cohort users"
     curl -fsS "http://$addr/v1/users/$cohort_user/patterns" \
         | grep -q '"cohort"' || die "user pattern query failed"
     curl -fsS "http://$addr/v1/users/$cohort_user/similar?k=5" \
@@ -494,7 +478,8 @@ recovered: $recovered"
 
     # Final boot proves the shutdown checkpoint covered everything (zero
     # batches to replay) and lets the re-miner publish a generation from
-    # the recovered stay buffer; its status JSON is archived by CI.
+    # the recovered stay buffer; its status JSON is archived by CI. The
+    # generation must carry every section the mined artifact did.
     boot_serve "$workspace/target/ci-remine.log" --wal-dir "$wal_dir" \
         --remine-interval 1 --remine-dir "$gen_dir"
     grep -q 'replayed 0 batches / 0 records' "$workspace/target/ci-remine.log" \
@@ -509,8 +494,10 @@ recovered: $recovered"
         || die "re-miner never published a generation: $(cat "$workspace/miner-status.json")"
     newest_gen="$(ls "$gen_dir" | grep '^gen-' | sort | tail -1)"
     [ -n "$newest_gen" ] || die "no generation files in $gen_dir"
-    "$bin" artifact-check "$gen_dir/$newest_gen" > /dev/null \
+    "$bin" artifact-check "$gen_dir/$newest_gen" > "$workspace/target/ci-generation-check.txt" \
         || die "published generation failed verification"
+    grep -q 'optional sections: motifs, cohorts' "$workspace/target/ci-generation-check.txt" \
+        || die "re-mined generation dropped a section: $(cat "$workspace/target/ci-generation-check.txt")"
     kill -TERM "$serve_pid"
     wait "$serve_pid" 2> /dev/null || true
     trap - EXIT

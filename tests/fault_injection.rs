@@ -3,8 +3,8 @@
 //! duplicated records, teleports, truncation, and mangled CSV input — with
 //! no panics, reporting quarantined records and degradation events instead.
 
-use pervasive_miner::core::extract::extract_patterns_tracked;
-use pervasive_miner::core::recognize::recognize_all_tracked;
+use pervasive_miner::core::extract::extract_patterns_observed;
+use pervasive_miner::core::recognize::recognize_all_observed;
 use pervasive_miner::io::{
     journeys_to_trajectories, read_journeys_with, read_pois_with, write_journeys, write_pois,
     IngestMode, JourneyRecord,
@@ -26,10 +26,10 @@ fn run_pipeline(
     let stays = stay_points_of(&trajectories);
     let csd = CitySemanticDiagram::build(pois, &stays, params).expect("valid params");
     events.extend(csd.degradations().iter().copied());
-    let recognized =
-        recognize_all_tracked(&csd, trajectories, params, &mut events).expect("valid params");
-    let patterns =
-        extract_patterns_tracked(&recognized, params, &mut events).expect("valid params");
+    let recognized = recognize_all_observed(&csd, trajectories, params, &mut events, &Obs::noop())
+        .expect("valid params");
+    let patterns = extract_patterns_observed(&recognized, params, &mut events, &Obs::noop())
+        .expect("valid params");
     (patterns, events)
 }
 

@@ -9,12 +9,14 @@ use pervasive_miner::cohort::{
     embed_users, ClusterMethod, CohortParams, CohortTable, UserEmbedding, UserStay,
 };
 use pervasive_miner::core::construct::ConstructionOptions;
-use pervasive_miner::core::extract::{extract_patterns_observed, extract_patterns_tracked};
+use pervasive_miner::core::extract::extract_patterns_observed;
 use pervasive_miner::core::recognize::{
-    recognize_all_observed, recognize_all_tracked, recognize_stay_point_unit, stay_points_of,
+    recognize_all_observed, recognize_stay_point_unit, stay_points_of,
 };
 use pervasive_miner::core::types::Poi;
 use pervasive_miner::prelude::*;
+use pervasive_miner::serve::mine_artifact;
+use pervasive_miner::store::Artifact;
 use pervasive_miner::synth::{corrupt_trajectories, Corruption};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -27,19 +29,10 @@ fn run_pipeline(
     params: &MinerParams,
     threads: usize,
 ) -> (Vec<FinePattern>, Vec<Degradation>) {
-    let params = MinerParams { threads, ..*params };
-    let mut events = Vec::new();
-    let stays = stay_points_of(&trajectories);
-    let csd = CitySemanticDiagram::build(pois, &stays, &params).expect("valid params");
-    events.extend(csd.degradations().iter().copied());
-    let recognized =
-        recognize_all_tracked(&csd, trajectories, &params, &mut events).expect("valid params");
-    let patterns =
-        extract_patterns_tracked(&recognized, &params, &mut events).expect("valid params");
-    (patterns, events)
+    run_pipeline_observed(pois, trajectories, params, threads, &Obs::noop())
 }
 
-/// Same pipeline through the `*_observed` entry points with a live [`Obs`].
+/// The same pipeline, recording spans and counters on `obs`.
 fn run_pipeline_observed(
     pois: &[Poi],
     trajectories: Vec<SemanticTrajectory>,
@@ -159,6 +152,26 @@ fn observability_never_perturbs_results() {
             assert!(stages.contains(&want), "missing stage {want}: {stages:?}");
         }
         assert!(report.counters["recognize.votes_cast"] > 0);
+
+        // The single mining pass behind `mine --artifact` and the re-miner
+        // writes the same artifact bytes observed or not, and records a
+        // span for the unit sweep and for each product derived from it.
+        let obs = Obs::enabled();
+        assert!(
+            mine_tiny_artifact(&ds, 2026, threads, &obs)
+                == mine_tiny_artifact(&ds, 2026, threads, &Obs::noop()),
+            "threads {threads}: observation changed the artifact bytes"
+        );
+        let report = obs.report();
+        let stages: Vec<&str> = report.stages.iter().map(|s| s.name.as_str()).collect();
+        for want in [
+            "recognize.vote",
+            "recognize.units",
+            "motifs.mine",
+            "cohorts.mine",
+        ] {
+            assert!(stages.contains(&want), "missing stage {want}: {stages:?}");
+        }
     }
 }
 
@@ -226,11 +239,11 @@ fn small_corpus() -> (Vec<Poi>, Vec<SemanticTrajectory>) {
     (pois, trajectories)
 }
 
-/// FNV-1a (64-bit) over the fingerprint string — a stable scalar identity
-/// for a whole pipeline result.
-fn fnv1a(s: &str) -> u64 {
+/// FNV-1a (64-bit) over a fingerprint string or artifact bytes — a stable
+/// scalar identity for a whole pipeline result.
+fn fnv1a(bytes: impl AsRef<[u8]>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
+    for &b in bytes.as_ref() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -260,7 +273,7 @@ fn golden_fingerprints_pin_the_exact_output_bytes() {
         };
         for threads in [1, 4] {
             let (p, e) = run_pipeline(&ds.pois, ds.trajectories.clone(), &params, threads);
-            let got = fnv1a(&fingerprint(&p, &e));
+            let got = fnv1a(fingerprint(&p, &e));
             assert_eq!(
                 got, want,
                 "clean corpus seed {seed}, threads {threads}: got {got:#018x}, want {want:#018x}"
@@ -286,7 +299,7 @@ fn golden_fingerprints_pin_the_exact_output_bytes() {
         };
         for threads in [1, 4] {
             let (p, e) = run_pipeline(&pois, trajectories.clone(), &params, threads);
-            let got = fnv1a(&fingerprint(&p, &e));
+            let got = fnv1a(fingerprint(&p, &e));
             assert_eq!(
                 got, want,
                 "corruption mode {mode}, threads {threads}: got {got:#018x}, want {want:#018x}"
@@ -295,20 +308,82 @@ fn golden_fingerprints_pin_the_exact_output_bytes() {
     }
 }
 
-/// The `cohorts` command's corpus-to-embeddings path: recognize every stay
-/// to a unit, group stays per user (carded passengers by card, anonymous
-/// trajectories alone), and embed each user.
+/// The CLI's user identity rule: carded passengers by card, anonymous
+/// trajectories alone, named by corpus position.
+fn user_of(traj: &SemanticTrajectory, index: usize) -> String {
+    match traj.passenger {
+        Some(card) => format!("card-{card}"),
+        None => format!("u{index}"),
+    }
+}
+
+/// `mine --artifact --scale tiny --seed S` as one [`mine_artifact`] call:
+/// sigma 20, the city seed doubling as the cohort seed, and an explicit
+/// thread count (the artifact stores it).
+fn mine_tiny_artifact(ds: &Dataset, seed: u64, threads: usize, obs: &Obs) -> Vec<u8> {
+    let params = MinerParams {
+        sigma: 20,
+        threads,
+        ..MinerParams::default()
+    };
+    let cohort = CohortParams {
+        seed,
+        threads,
+        ..CohortParams::default()
+    };
+    let corpus = ds
+        .trajectories
+        .iter()
+        .enumerate()
+        .map(|(i, traj)| (user_of(traj, i), traj.clone()))
+        .collect();
+    mine_artifact(&ds.pois, corpus, &params, &cohort, obs)
+        .expect("valid params")
+        .to_bytes()
+}
+
+#[test]
+fn golden_artifact_fingerprints_pin_the_single_mining_pass() {
+    // Captured from the artifacts the CLI wrote when it mined through
+    // three commands (`mine --artifact`, then `motifs`, then `cohorts`,
+    // each re-recognizing every stay) at one thread. The single pass
+    // claims to write the same bytes; a changed hash means a section
+    // moved. Update a hash only with an argument for why the new bytes
+    // are the right ones.
+    const GOLDEN: [(u64, u64); 3] = [
+        (7, 0x16999a3ec1e7384a),
+        (2026, 0x10b55f3a888dd27b),
+        (123, 0x17a46ce183b24b83),
+    ];
+    for (seed, want) in GOLDEN {
+        let ds = Dataset::generate(&CityConfig::tiny(seed));
+        let serial = mine_tiny_artifact(&ds, seed, 1, &Obs::noop());
+        let got = fnv1a(&serial);
+        assert_eq!(
+            got, want,
+            "city seed {seed}: got {got:#018x}, want {want:#018x}"
+        );
+        // The stored thread count is the only byte allowed to differ.
+        let parallel = mine_tiny_artifact(&ds, seed, 4, &Obs::noop());
+        let mut parallel = Artifact::from_bytes(&parallel).expect("artifact decodes");
+        assert_eq!(parallel.params.threads, 4);
+        parallel.params.threads = 1;
+        assert!(
+            parallel.to_bytes() == serial,
+            "city seed {seed}: the 4-thread artifact differs beyond its stored thread count"
+        );
+    }
+}
+
+/// The cohort section's corpus-to-embeddings path: recognize every stay to
+/// a unit, group stays per user, and embed each user.
 fn embed_corpus(ds: &Dataset, params: &MinerParams) -> Vec<UserEmbedding> {
     let stays = stay_points_of(&ds.trajectories);
     let csd = CitySemanticDiagram::build(&ds.pois, &stays, params).expect("valid params");
     let kernel = GaussianKernel::new(params.r3sigma);
     let mut groups: BTreeMap<String, Vec<UserStay>> = BTreeMap::new();
     for (i, traj) in ds.trajectories.iter().enumerate() {
-        let user = match traj.passenger {
-            Some(card) => format!("card-{card}"),
-            None => format!("u{i}"),
-        };
-        let user_stays = groups.entry(user).or_default();
+        let user_stays = groups.entry(user_of(traj, i)).or_default();
         for sp in &traj.stays {
             let (unit, _, primary) = recognize_stay_point_unit(&csd, &kernel, sp.pos);
             if let Some(unit) = unit {
@@ -390,7 +465,7 @@ fn golden_cohort_fingerprints_pin_the_mined_table() {
         ] {
             let table = CohortTable::mine(embeddings.clone(), &cohort_params);
             assert_eq!(table.method, ClusterMethod::KMeans, "seed {seed}");
-            let got = fnv1a(&cohort_fingerprint(&table));
+            let got = fnv1a(cohort_fingerprint(&table));
             assert_eq!(
                 got, want,
                 "corpus seed {seed}, cohort k {}: got {got:#018x}, want {want:#018x}",

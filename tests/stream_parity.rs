@@ -8,7 +8,7 @@
 //! `stream == batch(threads=1) == batch(threads=4)`.
 
 use pervasive_miner::core::recognize::{
-    detect_all_stay_points_tracked, detect_stay_points_tracked, recognize_stay_point_unit,
+    detect_all_stay_points_observed, detect_stay_points_tracked, recognize_stay_point_unit,
 };
 use pervasive_miner::core::types::{Category, GpsPoint, GpsTrajectory, StayPoint, Timestamp};
 use pervasive_miner::prelude::*;
@@ -162,7 +162,8 @@ fn engine_matches_batch_pipeline_across_thread_counts() {
             admitted_all.push(GpsTrajectory::new(admitted));
         }
         let mut events = Vec::new();
-        let per_user = detect_all_stay_points_tracked(&admitted_all, &tp, &mut events);
+        let per_user =
+            detect_all_stay_points_observed(&admitted_all, &tp, &mut events, &Obs::noop());
         if threads == 1 {
             reference = per_user;
             reference_quarantined = quarantined_total;
