@@ -64,7 +64,7 @@ proptest! {
         let c = dbscan(&points, DbscanParams::new(eps, min_pts));
         prop_assert_eq!(c.labels.len(), points.len());
         let idx = GridIndex::build(&points, eps);
-        let is_core = |i: usize| idx.count_in_range(points[i], eps) >= min_pts;
+        let is_core = |i: usize| idx.range(points[i], eps).len() >= min_pts;
         for cluster in c.clusters() {
             prop_assert!(!cluster.is_empty());
             prop_assert!(cluster.iter().any(|&i| is_core(i)),
@@ -89,7 +89,7 @@ proptest! {
         let idx = GridIndex::build(&points, eps);
         for (i, label) in c.labels.iter().enumerate() {
             if label.is_none() {
-                prop_assert!(idx.count_in_range(points[i], eps) < min_pts,
+                prop_assert!(idx.range(points[i], eps).len() < min_pts,
                     "noise point {i} is actually core");
             }
         }

@@ -72,6 +72,7 @@ pub struct CitySemanticDiagram {
     units: Vec<SemanticUnit>,
     /// `unit_of[i]` = unit owning POI `i`, if any.
     unit_of: Vec<Option<usize>>,
+    /// The POI grid, listing only unit-owned POIs (see [`Self::from_parts`]).
     index: GridIndex,
     stats: BuildStats,
     degradations: Vec<Degradation>,
@@ -190,14 +191,9 @@ impl CitySemanticDiagram {
         );
 
         let span = obs.span("construct.assemble");
-        let mut unit_of = vec![None; pois.len()];
         let units: Vec<SemanticUnit> = final_units
             .into_iter()
-            .enumerate()
-            .map(|(uid, members)| {
-                for &i in &members {
-                    unit_of[i] = Some(uid);
-                }
+            .map(|members| {
                 let pts: Vec<LocalPoint> = members.iter().map(|&i| pois[i].pos).collect();
                 let tags = members.iter().map(|&i| pois[i].category).collect();
                 let distribution = unit_distribution(&pois, &popularity, &members);
@@ -210,7 +206,9 @@ impl CitySemanticDiagram {
             })
             .collect();
 
-        let n_covered = unit_of.iter().filter(|u| u.is_some()).count();
+        // `from_parts` below rejects a POI owned twice, so on success this
+        // counts the owned POIs.
+        let n_covered = units.iter().map(|u| u.members.len()).sum();
         let purity = if units.is_empty() {
             1.0
         } else {
@@ -226,25 +224,17 @@ impl CitySemanticDiagram {
             purity,
         };
 
-        let index = GridIndex::build(&positions, params.r3sigma);
+        let csd = Self::from_parts(pois, popularity, units, stats, degradations, params.r3sigma)?;
         span.finish();
         obs.incr("construct.final_units", stats.n_units as u64);
         obs.incr("construct.covered_pois", n_covered as u64);
-        crate::error::record_degradations(obs, &degradations);
-
-        Ok(Self {
-            popularity,
-            units,
-            unit_of,
-            index,
-            pois,
-            stats,
-            degradations,
-        })
+        crate::error::record_degradations(obs, csd.degradations());
+        Ok(csd)
     }
 
     /// Reassembles a diagram from previously serialized parts — the
-    /// constructor behind `pm-store` artifact loading.
+    /// constructor behind `pm-store` artifact loading, and the last step of
+    /// every build.
     ///
     /// The caller provides exactly the state a build would have produced:
     /// the retained POIs, their Eq. 3 popularity, the final units, the build
@@ -294,8 +284,12 @@ impl CitySemanticDiagram {
                 unit_of[i] = Some(uid);
             }
         }
+        // Algorithm 3 reads only unit-owned POIs. Building over all of them
+        // keeps the geometry (and the effective cell size an artifact stores)
+        // and the order a range query over all POIs lists the owned ones in.
         let positions: Vec<LocalPoint> = pois.iter().map(|p| p.pos).collect();
-        let index = GridIndex::build(&positions, cell_size);
+        let mut index = GridIndex::build(&positions, cell_size);
+        index.retain(|i| unit_of[i].is_some());
         Ok(Self {
             pois,
             popularity,
@@ -348,10 +342,16 @@ impl CitySemanticDiagram {
         self.unit_of.get(idx).copied().flatten()
     }
 
-    /// Indices of POIs within `radius` of `pos` — the `range` primitive of
-    /// Algorithm 3.
-    pub fn range(&self, pos: LocalPoint, radius: f64) -> Vec<usize> {
-        self.index.range(pos, radius)
+    /// Calls `visit(poi, distance_sq)` for every unit-owned POI within
+    /// `radius` of `pos` — the `range` primitive of Algorithm 3 less the POIs
+    /// that cast no vote — in the order a grid over all POIs lists them.
+    pub fn for_each_owned_in_range(
+        &self,
+        pos: LocalPoint,
+        radius: f64,
+        visit: impl FnMut(usize, f64),
+    ) {
+        self.index.for_each_in_range(pos, radius, visit);
     }
 
     /// Construction summary statistics.
@@ -369,6 +369,12 @@ impl CitySemanticDiagram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn owned_in_range(csd: &CitySemanticDiagram, pos: LocalPoint, radius: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        csd.for_each_owned_in_range(pos, radius, |i, _| out.push(i));
+        out
+    }
 
     /// A tiny deterministic town: a shop street, an office block, and a
     /// mixed tower, plus popular stay locations near each.
@@ -442,11 +448,19 @@ mod tests {
         let (pois, stays) = town();
         let csd =
             CitySemanticDiagram::build(&pois, &stays, &MinerParams::default()).expect("build");
-        let hits = csd.range(LocalPoint::new(0.0, 0.0), 100.0);
+        let hits = owned_in_range(&csd, LocalPoint::new(0.0, 0.0), 100.0);
         assert!(hits.len() >= 7);
         assert!(hits
             .iter()
             .all(|&i| csd.pois()[i].pos.distance(&LocalPoint::ORIGIN) <= 100.0));
+        // Every owned POI in the disk is visited, and no other.
+        let want: Vec<usize> = (0..csd.pois().len())
+            .filter(|&i| csd.unit_of(i).is_some())
+            .filter(|&i| csd.pois()[i].pos.distance(&LocalPoint::ORIGIN) <= 100.0)
+            .collect();
+        let mut sorted = hits.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, want);
     }
 
     #[test]
@@ -490,7 +504,7 @@ mod tests {
     fn empty_inputs_build_empty_diagram() {
         let csd = CitySemanticDiagram::build(&[], &[], &MinerParams::default()).expect("build");
         assert!(csd.units().is_empty());
-        assert!(csd.range(LocalPoint::ORIGIN, 1_000.0).is_empty());
+        assert!(owned_in_range(&csd, LocalPoint::ORIGIN, 1_000.0).is_empty());
         assert_eq!(csd.stats().n_units, 0);
         assert!(csd.degradations().is_empty());
     }

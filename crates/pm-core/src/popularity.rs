@@ -29,17 +29,11 @@ impl PopularityModel {
     /// coefficients of all stay points within `R_3sigma`.
     pub fn popularity(&self, pos: LocalPoint) -> f64 {
         let mut total = 0.0;
-        for idx in self.stays.range(pos, self.kernel.cutoff()) {
-            total += self.kernel.coeff(self.stays.point(idx), pos);
-        }
+        self.stays
+            .for_each_in_range(pos, self.kernel.cutoff(), |_, d_sq| {
+                total += self.kernel.coeff_at(d_sq.sqrt());
+            });
         total
-    }
-
-    /// Batch popularity for a slice of positions.
-    ///
-    /// Serial convenience form of [`Self::popularity_of_threads`].
-    pub fn popularity_of(&self, positions: &[LocalPoint]) -> Vec<f64> {
-        self.popularity_of_threads(positions, 1)
     }
 
     /// Batch popularity across `threads` workers (`0` = all cores).
@@ -51,16 +45,6 @@ impl PopularityModel {
     pub fn popularity_of_threads(&self, positions: &[LocalPoint], threads: usize) -> Vec<f64> {
         pm_runtime::par_map(positions, threads, |p| self.popularity(*p))
     }
-
-    /// The kernel in use (shared with semantic recognition).
-    pub fn kernel(&self) -> GaussianKernel {
-        self.kernel
-    }
-
-    /// Number of stay points backing the model.
-    pub fn n_stays(&self) -> usize {
-        self.stays.len()
-    }
 }
 
 #[cfg(test)]
@@ -71,7 +55,6 @@ mod tests {
     fn empty_corpus_gives_zero_popularity() {
         let m = PopularityModel::build(&[], 100.0);
         assert_eq!(m.popularity(LocalPoint::ORIGIN), 0.0);
-        assert_eq!(m.n_stays(), 0);
     }
 
     #[test]
@@ -106,7 +89,7 @@ mod tests {
             .collect();
         let m = PopularityModel::build(&stays, 100.0);
         let queries = [LocalPoint::ORIGIN, LocalPoint::new(40.0, 20.0)];
-        let batch = m.popularity_of(&queries);
+        let batch = m.popularity_of_threads(&queries, 1);
         assert_eq!(batch[0], m.popularity(queries[0]));
         assert_eq!(batch[1], m.popularity(queries[1]));
     }
@@ -120,13 +103,31 @@ mod tests {
         let queries: Vec<LocalPoint> = (0..97)
             .map(|i| LocalPoint::new((i * 41 % 520) as f64, (i * 13 % 410) as f64))
             .collect();
-        let serial = m.popularity_of(&queries);
+        let serial = m.popularity_of_threads(&queries, 1);
         for threads in [2, 4, 7] {
             let parallel = m.popularity_of_threads(&queries, threads);
             assert_eq!(serial.len(), parallel.len());
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads = {threads}");
             }
+        }
+    }
+
+    #[test]
+    fn popularity_is_the_range_sum_of_eq2_bit_for_bit() {
+        // Eq. 3 as summed before the visitor: `range`, then `coeff(stay, pos)`.
+        let stays: Vec<LocalPoint> = (0..400)
+            .map(|i| LocalPoint::new((i * 37 % 613) as f64 * 0.73, (i * 53 % 401) as f64 * 1.19))
+            .collect();
+        let m = PopularityModel::build(&stays, 100.0);
+        let kernel = GaussianKernel::new(100.0);
+        for i in 0..60 {
+            let q = LocalPoint::new((i * 29 % 480) as f64 * 0.91, (i * 17 % 500) as f64 * 0.97);
+            let mut want = 0.0;
+            for idx in m.stays.range(q, 100.0) {
+                want += kernel.coeff(stays[idx], q);
+            }
+            assert_eq!(m.popularity(q).to_bits(), want.to_bits(), "query {i}");
         }
     }
 

@@ -27,6 +27,7 @@ pub struct GridIndex {
     /// cell `c`. Flat layout beats per-cell `Vec`s on cache behaviour.
     starts: Vec<u32>,
     entries: Vec<u32>,
+    /// The coordinates of each entry, so queries read memory in order.
     points: Vec<LocalPoint>,
 }
 
@@ -37,10 +38,10 @@ impl GridIndex {
     /// memory, the grid is capped at ~4 cells per point, which can silently
     /// inflate tiny cells over a large extent (see the guard below).
     /// [`GridIndex::cell_size`] reports the size actually in effect, and
-    /// every query stays exact regardless — [`GridIndex::range_into`] scans
-    /// the full cell span covering the query disk, so radii larger *or*
-    /// smaller than the effective cell size return the same point sets a
-    /// brute-force scan would.
+    /// every query stays exact regardless — [`GridIndex::for_each_in_range`]
+    /// scans the full cell span covering the query disk, so radii larger
+    /// *or* smaller than the effective cell size return the same point sets
+    /// a brute-force scan would.
     ///
     /// # Panics
     /// Panics if `cell_size` is not strictly positive and finite.
@@ -98,10 +99,12 @@ impl GridIndex {
         }
         let starts = counts.clone();
         let mut entries = vec![0u32; points.len()];
+        let mut sorted = vec![LocalPoint::ORIGIN; points.len()];
         let mut cursor = starts.clone();
         for (i, p) in points.iter().enumerate() {
             let c = cell_of(p);
             entries[cursor[c] as usize] = i as u32;
+            sorted[cursor[c] as usize] = *p;
             cursor[c] += 1;
         }
 
@@ -114,8 +117,32 @@ impl GridIndex {
             rows,
             starts,
             entries,
-            points: points.to_vec(),
+            points: sorted,
         }
+    }
+
+    /// Narrows the index to the points whose handle `keep` accepts.
+    ///
+    /// The geometry stays that of the full build: the origin, the cell
+    /// counts and both cell sizes are unchanged, so a query visits the kept
+    /// points in the order [`GridIndex::range`] lists them on the full index.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        // Compacts in place: `kept` never passes `s`, the cell's old start.
+        let (mut kept, mut s) = (0, 0);
+        for c in 0..self.starts.len() - 1 {
+            let e = self.starts[c + 1] as usize;
+            for k in s..e {
+                if keep(self.entries[k] as usize) {
+                    self.entries[kept] = self.entries[k];
+                    self.points[kept] = self.points[k];
+                    kept += 1;
+                }
+            }
+            s = e;
+            self.starts[c + 1] = kept as u32;
+        }
+        self.entries.truncate(kept);
+        self.points.truncate(kept);
     }
 
     /// The cell size actually in effect, in meters.
@@ -138,19 +165,14 @@ impl GridIndex {
         self.cell_size > self.requested_cell_size
     }
 
-    /// Number of indexed points.
+    /// Number of indexed points (after any [`GridIndex::retain`]).
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.entries.len()
     }
 
     /// Whether the index holds no points.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The stored coordinates of point `idx`.
-    pub fn point(&self, idx: usize) -> LocalPoint {
-        self.points[idx]
+        self.entries.is_empty()
     }
 
     /// Indices of all points within `radius` meters of `center` (inclusive).
@@ -164,7 +186,21 @@ impl GridIndex {
     /// avoid per-query allocation in hot loops. The buffer is cleared first.
     pub fn range_into(&self, center: LocalPoint, radius: f64, out: &mut Vec<usize>) {
         out.clear();
-        if self.points.is_empty() || radius.is_nan() || radius < 0.0 {
+        self.for_each_in_range(center, radius, |idx, _| out.push(idx));
+    }
+
+    /// Calls `visit(idx, distance_sq)` for every point within `radius`
+    /// meters of `center` (inclusive): cell by cell in row-major order,
+    /// handles in build order within a cell. `distance_sq` is
+    /// `point.distance_sq(&center)`, so a caller can take its `sqrt()`
+    /// instead of measuring again.
+    pub fn for_each_in_range(
+        &self,
+        center: LocalPoint,
+        radius: f64,
+        mut visit: impl FnMut(usize, f64),
+    ) {
+        if radius.is_nan() || radius < 0.0 {
             return;
         }
         let r_sq = radius * radius;
@@ -181,55 +217,161 @@ impl GridIndex {
         let cy_hi = cy_hi.min(self.rows - 1);
 
         for cy in cy_lo..=cy_hi {
-            for cx in cx_lo..=cx_hi {
-                let c = cy * self.cols + cx;
-                let (s, e) = (self.starts[c] as usize, self.starts[c + 1] as usize);
-                for &idx in &self.entries[s..e] {
-                    if self.points[idx as usize].distance_sq(&center) <= r_sq {
-                        out.push(idx as usize);
-                    }
+            let row = cy * self.cols;
+            let s = self.starts[row + cx_lo] as usize;
+            let e = self.starts[row + cx_hi + 1] as usize;
+            for (p, &idx) in self.points[s..e].iter().zip(&self.entries[s..e]) {
+                let d_sq = p.distance_sq(&center);
+                if d_sq <= r_sq {
+                    visit(idx as usize, d_sq);
                 }
             }
         }
-    }
-
-    /// Number of points within `radius` of `center` without materializing
-    /// the index list.
-    pub fn count_in_range(&self, center: LocalPoint, radius: f64) -> usize {
-        if self.points.is_empty() || radius.is_nan() || radius < 0.0 {
-            return 0;
-        }
-        let r_sq = radius * radius;
-        let cx_lo = (((center.x - radius - self.min_x) / self.cell_size).floor()).max(0.0) as usize;
-        let cy_lo = (((center.y - radius - self.min_y) / self.cell_size).floor()).max(0.0) as usize;
-        let cx_hi = ((((center.x + radius - self.min_x) / self.cell_size).floor()) as isize).max(0)
-            as usize;
-        let cy_hi = ((((center.y + radius - self.min_y) / self.cell_size).floor()) as isize).max(0)
-            as usize;
-        if cx_lo >= self.cols || cy_lo >= self.rows {
-            return 0;
-        }
-        let cx_hi = cx_hi.min(self.cols - 1);
-        let cy_hi = cy_hi.min(self.rows - 1);
-
-        let mut n = 0;
-        for cy in cy_lo..=cy_hi {
-            for cx in cx_lo..=cx_hi {
-                let c = cy * self.cols + cx;
-                let (s, e) = (self.starts[c] as usize, self.starts[c + 1] as usize);
-                n += self.entries[s..e]
-                    .iter()
-                    .filter(|&&idx| self.points[idx as usize].distance_sq(&center) <= r_sq)
-                    .count();
-            }
-        }
-        n
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The cell loop [`GridIndex::range`] ran before the visitor: each cell
+    /// of the query's span, one at a time, measuring every listed handle
+    /// against the caller's own copy of its point.
+    fn reference_range(
+        idx: &GridIndex,
+        points: &[LocalPoint],
+        center: LocalPoint,
+        radius: f64,
+    ) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        if points.is_empty() || radius.is_nan() || radius < 0.0 {
+            return out;
+        }
+        let r_sq = radius * radius;
+        let cx_lo = (((center.x - radius - idx.min_x) / idx.cell_size).floor()).max(0.0) as usize;
+        let cy_lo = (((center.y - radius - idx.min_y) / idx.cell_size).floor()).max(0.0) as usize;
+        let cx_hi =
+            ((((center.x + radius - idx.min_x) / idx.cell_size).floor()) as isize).max(0) as usize;
+        let cy_hi =
+            ((((center.y + radius - idx.min_y) / idx.cell_size).floor()) as isize).max(0) as usize;
+        if cx_lo >= idx.cols || cy_lo >= idx.rows {
+            return out;
+        }
+        let cx_hi = cx_hi.min(idx.cols - 1);
+        let cy_hi = cy_hi.min(idx.rows - 1);
+        for cy in cy_lo..=cy_hi {
+            for cx in cx_lo..=cx_hi {
+                let c = cy * idx.cols + cx;
+                let (s, e) = (idx.starts[c] as usize, idx.starts[c + 1] as usize);
+                for &i in &idx.entries[s..e] {
+                    let d_sq = points[i as usize].distance_sq(&center);
+                    if d_sq <= r_sq {
+                        out.push((i as usize, d_sq.to_bits()));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn visited(idx: &GridIndex, center: LocalPoint, radius: f64) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        idx.for_each_in_range(center, radius, |i, d_sq| out.push((i, d_sq.to_bits())));
+        out
+    }
+
+    /// Points on a coarse lattice (so exact-radius boundaries occur) mixed
+    /// with arbitrary ones and coincident copies.
+    fn layout() -> impl Strategy<Value = Vec<LocalPoint>> {
+        prop::collection::vec((0u8..4, -600.0..600.0f64, -600.0..600.0f64), 0..160).prop_map(
+            |raw| {
+                let mut pts: Vec<LocalPoint> = Vec::with_capacity(raw.len());
+                for (kind, x, y) in raw {
+                    let p = match kind {
+                        0 => LocalPoint::new((x / 25.0).round() * 25.0, (y / 25.0).round() * 25.0),
+                        1 if !pts.is_empty() => pts[(x.abs() as usize) % pts.len()],
+                        _ => LocalPoint::new(x, y),
+                    };
+                    pts.push(p);
+                }
+                pts
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn visitor_matches_the_reference_cell_loop(
+            points in layout(),
+            qx in -700.0..700.0f64,
+            qy in -700.0..700.0f64,
+            snap in 0u8..2,
+            radius in 0.0..400.0f64,
+            cell in 0.5..300.0f64,
+        ) {
+            let idx = GridIndex::build(&points, cell);
+            let (q, r) = if snap == 0 {
+                (LocalPoint::new(qx, qy), radius)
+            } else {
+                // Lattice query and radius: boundary points sit exactly at r.
+                (LocalPoint::new((qx / 25.0).round() * 25.0, (qy / 25.0).round() * 25.0),
+                 (radius / 25.0).round() * 25.0)
+            };
+            let want = reference_range(&idx, &points, q, r);
+            prop_assert_eq!(visited(&idx, q, r), want.clone());
+            let plain: Vec<usize> = want.iter().map(|&(i, _)| i).collect();
+            prop_assert_eq!(idx.range(q, r), plain);
+        }
+
+        #[test]
+        fn retained_view_is_the_filtered_range(
+            points in layout(),
+            qx in -700.0..700.0f64,
+            qy in -700.0..700.0f64,
+            radius in 0.0..400.0f64,
+            cell in 0.5..300.0f64,
+            modulus in 1usize..5,
+        ) {
+            let full = GridIndex::build(&points, cell);
+            let keep = |i: usize| !(i * 7 + 3).is_multiple_of(modulus);
+            let mut view = full.clone();
+            view.retain(keep);
+            prop_assert_eq!(view.len(), (0..points.len()).filter(|&i| keep(i)).count());
+            prop_assert_eq!(view.cell_size().to_bits(), full.cell_size().to_bits());
+            prop_assert_eq!(view.requested_cell_size().to_bits(), full.requested_cell_size().to_bits());
+            let q = LocalPoint::new(qx, qy);
+            let want: Vec<(usize, u64)> =
+                visited(&full, q, radius).into_iter().filter(|&(i, _)| keep(i)).collect();
+            prop_assert_eq!(visited(&view, q, radius), want);
+        }
+    }
+
+    #[test]
+    fn visitor_handles_degenerate_queries() {
+        let points: Vec<LocalPoint> = (0..30)
+            .map(|i| LocalPoint::new((i % 6) as f64 * 11.0, (i / 6) as f64 * 9.0))
+            .collect();
+        let idx = GridIndex::build(&points, 10.0);
+        for (center, r) in [
+            (LocalPoint::new(f64::NAN, 0.0), 50.0),
+            (LocalPoint::new(f64::INFINITY, 0.0), 50.0),
+            (LocalPoint::new(0.0, f64::NEG_INFINITY), 50.0),
+            (LocalPoint::new(20.0, 20.0), f64::NAN),
+            (LocalPoint::new(20.0, 20.0), -1.0),
+            (LocalPoint::new(20.0, 20.0), f64::INFINITY),
+        ] {
+            assert_eq!(
+                visited(&idx, center, r),
+                reference_range(&idx, &points, center, r)
+            );
+        }
+        assert_eq!(visited(&idx, LocalPoint::ORIGIN, f64::INFINITY).len(), 30);
+        let mut none = idx.clone();
+        none.retain(|_| false);
+        assert!(none.is_empty());
+        assert!(none.range(LocalPoint::ORIGIN, f64::INFINITY).is_empty());
+    }
 
     fn brute_force(points: &[LocalPoint], center: LocalPoint, radius: f64) -> Vec<usize> {
         let r_sq = radius * radius;
@@ -243,7 +385,6 @@ mod tests {
         let idx = GridIndex::build(&[], 10.0);
         assert!(idx.is_empty());
         assert!(idx.range(LocalPoint::ORIGIN, 100.0).is_empty());
-        assert_eq!(idx.count_in_range(LocalPoint::ORIGIN, 100.0), 0);
     }
 
     #[test]
@@ -266,7 +407,6 @@ mod tests {
             got.sort_unstable();
             let want = brute_force(&points, center, r);
             assert_eq!(got, want, "query ({cx},{cy}) r={r}");
-            assert_eq!(idx.count_in_range(center, r), want.len());
         }
     }
 
@@ -330,7 +470,6 @@ mod tests {
                 let mut got = idx.range(center, r);
                 got.sort_unstable();
                 assert_eq!(got, brute_force(&points, center, r), "r = {r}");
-                assert_eq!(idx.count_in_range(center, r), got.len());
             }
         }
     }
@@ -361,7 +500,6 @@ mod tests {
                 let mut got = idx.range(center, r);
                 got.sort_unstable();
                 assert_eq!(got, brute_force(&points, center, r), "r = {r}");
-                assert_eq!(idx.count_in_range(center, r), got.len());
             }
         }
     }

@@ -31,7 +31,6 @@ proptest! {
             .filter(|&i| points[i].distance(&q) <= radius)
             .collect();
         prop_assert_eq!(&got, &want);
-        prop_assert_eq!(idx.count_in_range(q, radius), want.len());
     }
 
     #[test]

@@ -992,7 +992,12 @@ mod tests {
         let reloaded = Artifact::from_bytes(&artifact.to_bytes()).expect("load");
         for (x, y, r) in [(0.0, 0.0, 150.0), (2_010.0, 3.0, 80.0), (500.0, 0.0, 50.0)] {
             let q = LocalPoint::new(x, y);
-            assert_eq!(artifact.csd.range(q, r), reloaded.csd.range(q, r));
+            let owned = |csd: &CitySemanticDiagram| {
+                let mut hits = Vec::new();
+                csd.for_each_owned_in_range(q, r, |i, d_sq| hits.push((i, d_sq.to_bits())));
+                hits
+            };
+            assert_eq!(owned(&artifact.csd), owned(&reloaded.csd));
         }
         for (i, u) in artifact.csd.units().iter().enumerate() {
             assert_eq!(u.members, reloaded.csd.units()[i].members);

@@ -9,7 +9,7 @@
 
 use pervasive_miner::prelude::*;
 use pm_cluster::GaussianKernel;
-use pm_core::recognize::{recognize_stay_point, stay_points_of};
+use pm_core::recognize::{recognize_stay_point_unit, stay_points_of};
 
 fn main() {
     let dataset = Dataset::generate(&CityConfig::small(11));
@@ -48,23 +48,22 @@ fn main() {
     // which unit wins.
     let sp = dataset.trajectories[0].stays[0];
     let kernel = GaussianKernel::new(params.r3sigma);
-    let in_range = csd.range(sp.pos, params.r3sigma);
     println!(
         "\nsemantic recognition walkthrough (Fig. 7) for stay point at ({:.0}, {:.0}):",
         sp.pos.x, sp.pos.y
     );
-    println!(
-        "  {} POIs within R_3sigma = {} m",
-        in_range.len(),
-        params.r3sigma
-    );
+    let mut ballots = 0;
     let mut votes: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-    for &i in &in_range {
+    csd.for_each_owned_in_range(sp.pos, params.r3sigma, |i, d_sq| {
+        ballots += 1;
         if let Some(uid) = csd.unit_of(i) {
-            *votes.entry(uid).or_default() +=
-                csd.popularity(i) * kernel.coeff(csd.pois()[i].pos, sp.pos);
+            *votes.entry(uid).or_default() += csd.popularity(i) * kernel.coeff_at(d_sq.sqrt());
         }
-    }
+    });
+    println!(
+        "  {} unit-owned POIs within R_3sigma = {} m",
+        ballots, params.r3sigma
+    );
     let mut rows: Vec<(usize, f64)> = votes.into_iter().collect();
     rows.sort_by(|a, b| b.1.total_cmp(&a.1));
     for (uid, vote) in rows.iter().take(5) {
@@ -75,6 +74,6 @@ fn main() {
             csd.units()[*uid].tags
         );
     }
-    let tags = recognize_stay_point(&csd, &kernel, sp.pos);
+    let (_, tags, _) = recognize_stay_point_unit(&csd, &kernel, sp.pos);
     println!("  => recognized semantic property: {tags}");
 }

@@ -48,6 +48,23 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
+# Golden-digest gate: every perfbench run checks the artifacts it mines and
+# the answers it reads against known-good digests (SERVED_DIGEST,
+# READ_DIGEST in perfbench/src/world.rs) and reports "correct": false on
+# any difference. One short run per workload, with the command
+# BENCHMARK.json declares, so a change to what the program mines, streams
+# or answers fails here rather than only in the benchmark pipeline.
+for workload in mine ingest serve; do
+    echo "==> perfbench --workload $workload --seed 1 --seconds 1 (golden digests)"
+    perfbench_out="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml \
+        -- --workload "$workload" --seed 1 --seconds 1 --trace 0)" \
+        || die "perfbench $workload exited with an error"
+    grep -q '"correct": true' <<< "$perfbench_out" \
+        || die "perfbench $workload: outputs differ from the golden digests: $perfbench_out"
+    grep -Eq '"failed": 0[,}]' <<< "$perfbench_out" \
+        || die "perfbench $workload: operations failed: $perfbench_out"
+done
+
 # --- Bench metric plumbing ---------------------------------------------------
 # Reads one metric out of a BENCH_pipeline.json document as real JSON (the
 # old line-anchored sed broke the moment the emitter reflowed a line, and
