@@ -5,6 +5,7 @@
 //! number/string formatting of [`pm_obs::json`] so every JSON emitter in the
 //! workspace renders identically.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Maximum nesting depth the parser accepts — deep enough for any real
@@ -67,179 +68,239 @@ impl Json {
 
 /// Parses one JSON document, rejecting trailing garbage.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing characters at byte {pos}"));
-    }
+    let mut cursor = Cursor::new(text);
+    let value = cursor.value(0)?;
+    cursor.finish()?;
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A request body's JSON text: a blank body reads as `{}`, and a body that
+/// is not UTF-8 is refused.
+pub(crate) fn body_text(body: &[u8]) -> Result<&str, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+    Ok(if text.trim().is_empty() { "{}" } else { text })
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH}"));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
+/// A read position in one JSON document: the lexer behind [`parse`], open
+/// to decoders that walk a known shape without building a [`Json`] tree,
+/// so a syntax error reads the same, down to its byte offset, either way.
+pub(crate) struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
 }
 
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(text: &'a str) -> Cursor<'a> {
+        Cursor {
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
+    /// The next byte after whitespace, left unread.
+    pub(crate) fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.bytes.get(self.pos).copied()
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-UTF8 number")?;
-    let v: f64 = text
-        .parse()
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
-    if !v.is_finite() {
-        return Err(format!("non-finite number {text:?} at byte {start}"));
-    }
-    Ok(Json::Number(v))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    /// Rejects anything but whitespace after the document.
+    pub(crate) fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing characters at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Parses one value nested `depth` levels deep into a tree.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, String> {
+        if depth > MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        match self.peek() {
+            None => Err("unexpected end of input".into()),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(|cursor, key| {
+                    map.insert(key.into_owned(), cursor.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Object(map))
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "non-UTF8 \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-                        // Surrogates are not combined — the service never
-                        // needs astral-plane input; reject instead of
-                        // mis-decoding.
-                        let c = char::from_u32(code).ok_or("\\u escape is a surrogate half")?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err("invalid escape".into()),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|cursor| {
+                    items.push(cursor.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Array(items))
+            }
+            Some(b'"') => Ok(Json::String(self.string()?.into_owned())),
+            Some(b't') => self.keyword("true", Json::Bool(true)),
+            Some(b'f') => self.keyword("false", Json::Bool(false)),
+            Some(b'n') => self.keyword("null", Json::Null),
+            Some(_) => self.number(),
+        }
+    }
+
+    fn keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while matches!(
+            self.bytes.get(self.pos),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "non-UTF8 number")?;
+        let v: f64 = text
+            .parse()
+            .map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
+        if !v.is_finite() {
+            return Err(format!("non-finite number {text:?} at byte {start}"));
+        }
+        Ok(Json::Number(v))
+    }
+
+    /// The string that opens here, borrowed from the document unless it
+    /// holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        debug_assert_eq!(self.bytes[self.pos], b'"');
+        self.pos += 1;
+        let mut escaped: Option<String> = None;
+        loop {
+            // Consume the whole run of plain characters up to the next
+            // quote or escape in one slice. Scanning bytes is sound: every
+            // byte of a multi-byte UTF-8 scalar is >= 0x80, so it can never
+            // collide with '"' (0x22) or '\\' (0x5C) — and validating only
+            // the run keeps the parser O(n) overall (validating the
+            // *remainder* per character made large ingest bodies quadratic).
+            let start = self.pos;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' {
+                    break;
                 }
-                *pos += 1;
+                self.pos += 1;
             }
-            Some(_) => {
-                // Consume the whole run of plain characters up to the next
-                // quote or escape in one slice. Scanning bytes is sound:
-                // every byte of a multi-byte UTF-8 scalar is >= 0x80, so it
-                // can never collide with '"' (0x22) or '\\' (0x5C) — and
-                // validating only the run keeps the parser O(n) overall
-                // (validating the *remainder* per character made large
-                // ingest bodies quadratic).
-                let start = *pos;
-                while let Some(&b) = bytes.get(*pos) {
-                    if b == b'"' || b == b'\\' {
-                        break;
-                    }
-                    *pos += 1;
+            let run =
+                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "non-UTF8 string")?;
+            match self.bytes.get(self.pos) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match escaped {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
-                let run =
-                    std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-UTF8 string")?;
-                out.push_str(run);
+                Some(_) => {
+                    let out = escaped.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    self.pos += 1;
+                    match self.bytes.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or("truncated \\u escape")?;
+                            let hex =
+                                std::str::from_utf8(hex).map_err(|_| "non-UTF8 \\u escape")?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
+                            // Surrogates are not combined — the service never
+                            // needs astral-plane input; reject instead of
+                            // mis-decoding.
+                            let c = char::from_u32(code).ok_or("\\u escape is a surrogate half")?;
+                            out.push(c);
+                            self.pos += 4;
+                        }
+                        _ => return Err("invalid escape".into()),
+                    }
+                    self.pos += 1;
+                }
             }
         }
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
+    /// Walks the array that opens here, handing `element` the cursor at
+    /// each element in turn; `element` must read past it.
+    pub(crate) fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.pos += 1; // '['
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            element(self)?;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
         }
     }
-}
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    *pos += 1; // '{'
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
+    /// Walks the object that opens here, handing `member` each key with the
+    /// cursor at its value; `member` must read past the value.
+    pub(crate) fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.pos += 1; // '{'
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
         }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(map));
+        loop {
+            if self.peek() != Some(b'"') {
+                return Err(format!("expected object key at byte {}", self.pos));
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
+            let key = self.string()?;
+            if self.peek() != Some(b':') {
+                return Err(format!("expected ':' at byte {}", self.pos));
+            }
+            self.pos += 1;
+            member(self, key)?;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            }
         }
     }
 }

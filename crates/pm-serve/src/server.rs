@@ -362,11 +362,7 @@ fn refresh_gauges(obs: &Obs, state: &ServeState) {
 
 /// Parses a request body as JSON, or explains why not.
 fn parse_body(req: &Request) -> Result<json::Json, String> {
-    let text = std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8".to_string())?;
-    if text.trim().is_empty() {
-        return json::parse("{}").map_err(|e| format!("invalid JSON: {e}"));
-    }
-    json::parse(text).map_err(|e| format!("invalid JSON: {e}"))
+    json::parse(json::body_text(&req.body)?).map_err(|e| format!("invalid JSON: {e}"))
 }
 
 /// Maps a parsed request onto the shared state.
@@ -441,10 +437,7 @@ fn route(
             refresh_gauges(obs, state);
             (200, obs.report().to_json(), "stats")
         }
-        ("POST", "/v1/ingest") => match parse_body(req)
-            .map_err(|m| (400u16, m))
-            .and_then(|body| state.ingest_json(&body, config.max_batch_records))
-        {
+        ("POST", "/v1/ingest") => match state.ingest_body(&req.body, config.max_batch_records) {
             Ok((body, outcome)) => {
                 record_outcome(obs, state, &outcome);
                 (200, body, "ingest")

@@ -38,8 +38,7 @@ use crate::json::{self, Json};
 use crate::miner::MinerStatus;
 use crate::snapshot::Snapshot;
 use pm_core::types::{GpsPoint, StayPoint};
-use pm_geo::GeoPoint;
-use pm_geo::LocalPoint;
+use pm_geo::{GeoPoint, LocalPoint, Projection};
 use pm_obs::Obs;
 use pm_store::Artifact;
 use pm_stream::{
@@ -204,45 +203,41 @@ impl ServeState {
         gauges
     }
 
-    /// `POST /v1/ingest`: parses `{"fixes":[...]}` and/or `{"stays":[...]}`
-    /// entries (`user`, `t`, and `x`/`y` or `lat`/`lon` each), feeds them to
-    /// the engine against the *current* snapshot, and renders the outcome.
-    /// Batches over `max_records` are refused with `429` — the client must
-    /// back off and split.
+    /// `POST /v1/ingest` on the raw body, decoded straight into records
+    /// with no [`Json`] tree. Answers exactly as [`ServeState::ingest_json`]
+    /// does for the parsed body; a blank body reads as `{}`.
+    pub fn ingest_body(
+        &self,
+        body: &[u8],
+        max_records: usize,
+    ) -> Result<(String, BatchOutcome), (u16, String)> {
+        let text = json::body_text(body).map_err(|m| (400, m))?;
+        let (snapshot, epoch) = self.snapshot();
+        let records = decode_records(text, snapshot.projection(), max_records)?;
+        Ok(self.ingest_records(snapshot, epoch, records))
+    }
+
+    /// `POST /v1/ingest` on a parsed body: `{"fixes":[...]}` and/or
+    /// `{"stays":[...]}` entries (`user`, `t`, and `x`/`y` or `lat`/`lon`
+    /// each), fed to the engine against the *current* snapshot, with the
+    /// outcome rendered. Batches over `max_records` are refused with `429`
+    /// — the client must back off and split.
     pub fn ingest_json(
         &self,
         body: &Json,
         max_records: usize,
     ) -> Result<(String, BatchOutcome), (u16, String)> {
         let (snapshot, epoch) = self.snapshot();
-        let mut records: Vec<(String, IngestRecord)> = Vec::new();
-        let mut keyed = false;
-        for (key, is_fix) in [("fixes", true), ("stays", false)] {
-            let Some(entries) = body.get(key) else {
-                continue;
-            };
-            keyed = true;
-            let entries = entries
-                .as_array()
-                .ok_or_else(|| (400, format!("{key} must be an array")))?;
-            if records.len() + entries.len() > max_records {
-                return Err((
-                    429,
-                    format!("batch too large (max {max_records} records); split and retry"),
-                ));
-            }
-            for (i, entry) in entries.iter().enumerate() {
-                let record = parse_record(&snapshot, entry, is_fix)
-                    .map_err(|m| (400, format!("{key}[{i}]: {m}")))?;
-                records.push(record);
-            }
-        }
-        if !keyed {
-            return Err((
-                400,
-                "body must be {\"fixes\":[...]} and/or {\"stays\":[...]}".to_string(),
-            ));
-        }
+        let records = records_of(body, snapshot.projection(), max_records)?;
+        Ok(self.ingest_records(snapshot, epoch, records))
+    }
+
+    fn ingest_records(
+        &self,
+        snapshot: Arc<Snapshot>,
+        epoch: u64,
+        records: Vec<(String, IngestRecord)>,
+    ) -> (String, BatchOutcome) {
         // Crash safety: the batch hits each touched shard's log before its
         // engine (inside `ingest_batch`). The tick is logical — one batch,
         // however many shard logs it fanned to — and an append failure is
@@ -271,7 +266,7 @@ impl ServeState {
             outcome.motif_days_closed,
             outcome.motif_days_oversize,
         );
-        Ok((body, outcome))
+        (body, outcome)
     }
 
     /// `GET /v1/live/patterns`: the sliding-window transition counts,
@@ -360,30 +355,35 @@ impl ServeState {
     }
 }
 
-/// One ingest entry: `user` (string or integer), `t`, and `x`/`y` local
-/// meters or `lat`/`lon` (geo-anchored artifacts only).
-fn parse_record(
-    snapshot: &Snapshot,
-    entry: &Json,
+/// The members of an ingest entry that the record rules read, in the
+/// order [`record`] takes them.
+const FIELDS: [&str; 6] = ["user", "t", "x", "y", "lat", "lon"];
+
+/// One ingest entry from its [`FIELDS`] values (the last duplicate key
+/// wins): `user` a non-empty string or an integer, `t` integral, and
+/// `x`/`y` local meters or `lat`/`lon` (geo-anchored artifacts only).
+fn record(
+    fields: [Option<Json>; 6],
+    projection: Option<&Projection>,
     is_fix: bool,
 ) -> Result<(String, IngestRecord), String> {
-    let user = match entry.get("user") {
-        Some(u) => match (u.as_str(), u.as_i64()) {
-            (Some(s), _) if !s.is_empty() => s.to_string(),
-            (_, Some(n)) => n.to_string(),
-            _ => return Err("user must be a non-empty string or integer".to_string()),
+    let [user, t, x, y, lat, lon] = fields;
+    let user = match user {
+        Some(Json::String(s)) if !s.is_empty() => s,
+        Some(u) => match u.as_i64() {
+            Some(n) => n.to_string(),
+            None => return Err("user must be a non-empty string or integer".to_string()),
         },
         None => return Err("user missing".to_string()),
     };
-    let t = entry
-        .get("t")
+    let t = t
+        .as_ref()
         .and_then(Json::as_i64)
         .ok_or("t missing or not an integer")?;
-    let num = |name: &str| -> Option<f64> { entry.get(name).and_then(Json::as_f64) };
-    let pos = match (num("x"), num("y"), num("lat"), num("lon")) {
+    let num = |v: &Option<Json>| v.as_ref().and_then(Json::as_f64);
+    let pos = match (num(&x), num(&y), num(&lat), num(&lon)) {
         (Some(x), Some(y), None, None) => LocalPoint::new(x, y),
-        (None, None, Some(lat), Some(lon)) => snapshot
-            .projection()
+        (None, None, Some(lat), Some(lon)) => projection
             .ok_or("artifact has no projection; records need x/y")?
             .to_local(GeoPoint::new(lon, lat)),
         _ => return Err("needs x&y or lat&lon".to_string()),
@@ -399,10 +399,119 @@ fn parse_record(
     ))
 }
 
+/// Each entry's [`record`] verdict, in body order.
+type Verdicts = Vec<Result<(String, IngestRecord), String>>;
+
+/// The batch rules over what a body holds under `fixes` and `stays` —
+/// absent, not an array, or an array's verdicts: `fixes` before `stays`
+/// whatever the key order, the `429` limit on the running total, and a
+/// `key[i]: message` error for the first bad entry.
+fn gather(
+    members: [Option<Option<Verdicts>>; 2],
+    max_records: usize,
+) -> Result<Vec<(String, IngestRecord)>, (u16, String)> {
+    let mut records = Vec::new();
+    let mut keyed = false;
+    for (key, member) in ["fixes", "stays"].into_iter().zip(members) {
+        let Some(verdicts) = member else {
+            continue;
+        };
+        keyed = true;
+        let verdicts = verdicts.ok_or_else(|| (400, format!("{key} must be an array")))?;
+        if records.len() + verdicts.len() > max_records {
+            return Err((
+                429,
+                format!("batch too large (max {max_records} records); split and retry"),
+            ));
+        }
+        for (i, verdict) in verdicts.into_iter().enumerate() {
+            records.push(verdict.map_err(|m| (400, format!("{key}[{i}]: {m}")))?);
+        }
+    }
+    if !keyed {
+        return Err((
+            400,
+            "body must be {\"fixes\":[...]} and/or {\"stays\":[...]}".to_string(),
+        ));
+    }
+    Ok(records)
+}
+
+/// The records of a parsed ingest body.
+fn records_of(
+    body: &Json,
+    projection: Option<&Projection>,
+    max_records: usize,
+) -> Result<Vec<(String, IngestRecord)>, (u16, String)> {
+    let member = |key, is_fix| {
+        let fields = |entry: &Json| FIELDS.map(|field| entry.get(field).cloned());
+        let verdicts = |entries: &[Json]| {
+            let verdict = |entry| record(fields(entry), projection, is_fix);
+            entries.iter().map(verdict).collect()
+        };
+        body.get(key).map(|value| value.as_array().map(verdicts))
+    };
+    gather([member("fixes", true), member("stays", false)], max_records)
+}
+
+/// The records of an ingest body's text, read in one walk with no [`Json`]
+/// tree: per entry, only a string user id allocates, plus the values of
+/// unknown or mistyped members. The walk reads through [`json::Cursor`],
+/// the parser's own lexer, at the depths the parser would reach, so it
+/// answers exactly as [`json::parse`] then [`records_of`] do: a syntax
+/// error wherever it sits comes first, then the batch rules.
+fn decode_records(
+    text: &str,
+    projection: Option<&Projection>,
+    max_records: usize,
+) -> Result<Vec<(String, IngestRecord)>, (u16, String)> {
+    let mut members: [Option<Option<Verdicts>>; 2] = [None, None];
+    let mut cursor = json::Cursor::new(text);
+    let walked = if cursor.peek() == Some(b'{') {
+        cursor.object(|cursor, key| {
+            let (slot, is_fix) = match &*key {
+                "fixes" => (0, true),
+                "stays" => (1, false),
+                _ => return cursor.value(1).map(drop),
+            };
+            if cursor.peek() != Some(b'[') {
+                members[slot] = Some(None);
+                return cursor.value(1).map(drop);
+            }
+            let mut verdicts = Vec::new();
+            cursor.array(|cursor| {
+                let mut fields: [Option<Json>; 6] = Default::default();
+                if cursor.peek() == Some(b'{') {
+                    cursor.object(|cursor, key| {
+                        let value = cursor.value(3)?;
+                        if let Some(i) = FIELDS.iter().position(|field| *field == key) {
+                            fields[i] = Some(value);
+                        }
+                        Ok(())
+                    })?;
+                } else {
+                    cursor.value(2)?;
+                }
+                verdicts.push(record(fields, projection, is_fix));
+                Ok(())
+            })?;
+            members[slot] = Some(Some(verdicts));
+            Ok(())
+        })
+    } else {
+        cursor.value(0).map(drop)
+    };
+    walked
+        .and_then(|()| cursor.finish())
+        .map_err(|e| (400, format!("invalid JSON: {e}")))?;
+    gather(members, max_records)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pm_core::prelude::*;
+    use std::collections::BTreeMap;
 
     fn state() -> ServeState {
         let params = MinerParams::default();
@@ -449,6 +558,301 @@ mod tests {
                 .unwrap();
         let (status, msg) = s.ingest_json(&body, 1).unwrap_err();
         assert_eq!(status, 429, "{msg}");
+    }
+
+    /// The ingest path before the typed decoder, kept as the oracle: the
+    /// server's body parse into a [`Json`] tree, then the record walk over
+    /// it. Only the snapshot argument changed, to the projection it read.
+    fn oracle(
+        body: &[u8],
+        projection: Option<&Projection>,
+        max_records: usize,
+    ) -> Result<Vec<(String, IngestRecord)>, (u16, String)> {
+        let parse_body = || -> Result<Json, String> {
+            let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+            if text.trim().is_empty() {
+                return json::parse("{}").map_err(|e| format!("invalid JSON: {e}"));
+            }
+            json::parse(text).map_err(|e| format!("invalid JSON: {e}"))
+        };
+        let body = parse_body().map_err(|m| (400u16, m))?;
+        let mut records: Vec<(String, IngestRecord)> = Vec::new();
+        let mut keyed = false;
+        for (key, is_fix) in [("fixes", true), ("stays", false)] {
+            let Some(entries) = body.get(key) else {
+                continue;
+            };
+            keyed = true;
+            let entries = entries
+                .as_array()
+                .ok_or_else(|| (400, format!("{key} must be an array")))?;
+            if records.len() + entries.len() > max_records {
+                return Err((
+                    429,
+                    format!("batch too large (max {max_records} records); split and retry"),
+                ));
+            }
+            for (i, entry) in entries.iter().enumerate() {
+                let record = oracle_record(projection, entry, is_fix)
+                    .map_err(|m| (400, format!("{key}[{i}]: {m}")))?;
+                records.push(record);
+            }
+        }
+        if !keyed {
+            return Err((
+                400,
+                "body must be {\"fixes\":[...]} and/or {\"stays\":[...]}".to_string(),
+            ));
+        }
+        Ok(records)
+    }
+
+    fn oracle_record(
+        projection: Option<&Projection>,
+        entry: &Json,
+        is_fix: bool,
+    ) -> Result<(String, IngestRecord), String> {
+        let user = match entry.get("user") {
+            Some(u) => match (u.as_str(), u.as_i64()) {
+                (Some(s), _) if !s.is_empty() => s.to_string(),
+                (_, Some(n)) => n.to_string(),
+                _ => return Err("user must be a non-empty string or integer".to_string()),
+            },
+            None => return Err("user missing".to_string()),
+        };
+        let t = entry
+            .get("t")
+            .and_then(Json::as_i64)
+            .ok_or("t missing or not an integer")?;
+        let num = |name: &str| -> Option<f64> { entry.get(name).and_then(Json::as_f64) };
+        let pos = match (num("x"), num("y"), num("lat"), num("lon")) {
+            (Some(x), Some(y), None, None) => LocalPoint::new(x, y),
+            (None, None, Some(lat), Some(lon)) => projection
+                .ok_or("artifact has no projection; records need x/y")?
+                .to_local(GeoPoint::new(lon, lat)),
+            _ => return Err("needs x&y or lat&lon".to_string()),
+        };
+        let point = GpsPoint::new(pos, t);
+        Ok((
+            user,
+            if is_fix {
+                IngestRecord::Fix(point)
+            } else {
+                IngestRecord::Stay(point)
+            },
+        ))
+    }
+
+    type Decoded = Result<Vec<(String, bool, u64, u64, i64)>, (u16, String)>;
+
+    /// Records with coordinates as bit patterns, so equal means identical.
+    fn bitwise(decoded: Result<Vec<(String, IngestRecord)>, (u16, String)>) -> Decoded {
+        decoded.map(|records| {
+            records
+                .into_iter()
+                .map(|(user, record)| {
+                    let (is_fix, p) = match record {
+                        IngestRecord::Fix(p) => (true, p),
+                        IngestRecord::Stay(p) => (false, p),
+                    };
+                    (user, is_fix, p.pos.x.to_bits(), p.pos.y.to_bits(), p.time)
+                })
+                .collect()
+        })
+    }
+
+    /// Random ingest bodies from structured choices: key order, duplicate
+    /// keys, escaped keys and users, unknown members nested around the
+    /// depth limit, mistyped values and non-object entries. A `valid`
+    /// generator only makes well-formed entries, so plenty of bodies decode.
+    struct Bodies<'r> {
+        rng: &'r mut proptest::test_runner::TestRng,
+        valid: bool,
+    }
+
+    impl Bodies<'_> {
+        fn below(&mut self, n: usize) -> usize {
+            self.rng.below(n as u128) as usize
+        }
+
+        /// Rarely, unless the generator is `valid`.
+        fn odd(&mut self, one_in: usize) -> bool {
+            !self.valid && self.below(one_in) == 0
+        }
+
+        fn pick(&mut self, items: &[&str]) -> String {
+            items[self.below(items.len())].to_string()
+        }
+
+        fn nested(&mut self) -> String {
+            let depth = 24 + self.below(14);
+            let (open, close) = if self.below(2) == 0 {
+                ("[", "]")
+            } else {
+                ("{\"k\":", "}")
+            };
+            let inner = self.pick(&["1", "\"s\"", "null", "[]"]);
+            format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+        }
+
+        fn value(&mut self, key: &str) -> String {
+            let bad = self.odd(4);
+            match (key, bad) {
+                ("user", false) => self.pick(&[
+                    "\"u1\"",
+                    "\"u2\"",
+                    "\"a\\u0062\\n\\\"\"",
+                    "\"\u{e9}t\u{e9}\"",
+                    "7",
+                    "-3",
+                    "3.0",
+                    "1e3",
+                    "9223372036854775807",
+                ]),
+                ("user", true) => {
+                    self.pick(&["\"\"", "1.5", "1e19", "true", "null", "[1]", "{\"a\":1}"])
+                }
+                ("t", false) => self.pick(&["3600", "0", "-5", "-0.0", "1E2", "9.3e17"]),
+                ("t", true) => self.pick(&["1.5", "1e300", "9.3e18", "\"12\"", "null"]),
+                (_, false) => self.pick(&["0", "12.5", "-3e2", "1e-7", "31.2", "121.47"]),
+                (_, true) => self.pick(&["\"1\"", "null", "[0]", "{}"]),
+            }
+        }
+
+        fn entry(&mut self) -> String {
+            if self.odd(8) {
+                return self.pick(&["1", "\"s\"", "[]", "null", "true", "[{\"user\":1}]"]);
+            }
+            let mut keys: Vec<&str> = vec!["user", "t"];
+            let shape = if self.odd(2) { self.below(4) } else { 4 };
+            keys.extend(match shape {
+                0 => &["lat", "lon"][..],
+                1 => &["x", "y", "lat", "lon"][..],
+                2 => &["x"][..],
+                3 => &[][..],
+                _ => &["x", "y"][..],
+            });
+            keys.retain(|_| !self.odd(12));
+            if self.below(6) == 0 {
+                let again = keys.get(self.below(keys.len().max(1))).copied();
+                keys.extend(again);
+            }
+            let mut members: Vec<String> = keys
+                .iter()
+                .map(|&key| {
+                    let name = match (key, self.below(8)) {
+                        ("user", 0) => "\\u0075ser",
+                        ("t", 0) => "\\u0074",
+                        _ => key,
+                    };
+                    format!("\"{name}\":{}", self.value(key))
+                })
+                .collect();
+            if self.below(6) == 0 {
+                let unknown = self.pick(&["\"note\"", "\"fixes\"", "\"id\""]);
+                members.push(format!("{unknown}:{}", self.nested()));
+            }
+            for i in (1..members.len()).rev() {
+                members.swap(i, self.below(i + 1));
+            }
+            format!("{{{}}}", members.join(","))
+        }
+
+        fn entries(&mut self) -> String {
+            if self.odd(12) {
+                return self.pick(&["{}", "1", "\"x\"", "null"]);
+            }
+            let n = self.below(7);
+            let entries: Vec<String> = (0..n).map(|_| self.entry()).collect();
+            format!("[{}]", entries.join(","))
+        }
+
+        fn body(&mut self) -> String {
+            if self.odd(20) {
+                return self.pick(&["[]", "1", "\"s\"", "null", "[{\"fixes\":[]}]"]);
+            }
+            let n = 1 + self.below(4);
+            let members: Vec<String> = (0..n)
+                .map(|_| match self.below(10) {
+                    0..=3 => format!("\"fixes\":{}", self.entries()),
+                    4..=6 => format!("\"stays\":{}", self.entries()),
+                    7 => format!("\"fi\\u0078es\":{}", self.entries()),
+                    _ => format!("\"meta\":{}", self.nested()),
+                })
+                .collect();
+            format!("{{{}}}", members.join(", "))
+        }
+
+        /// Damages a body: truncation, a byte flip, inserted whitespace, or
+        /// a blank or whitespace-only replacement.
+        fn mutate(&mut self, body: &[u8]) -> Vec<u8> {
+            let mut out = body.to_vec();
+            let at = self.below(out.len() + 1);
+            match self.below(4) {
+                0 => out.truncate(at),
+                1 if !out.is_empty() => {
+                    let bytes = b"\xff\xc3\"{}[],:\\0-e x";
+                    let at = at.min(out.len() - 1);
+                    out[at] = bytes[self.below(bytes.len())];
+                }
+                2 => out.insert(at, b" \t\n\r"[self.below(4)]),
+                _ => {
+                    out = self
+                        .pick(&["", "  \n\t", "\u{a0}", "\u{b}", " {} \u{b}"])
+                        .into_bytes()
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn typed_decoder_answers_like_the_tree_oracle() {
+        let geo = Projection::new(GeoPoint::new(121.4737, 31.2304));
+        let mut outcomes: BTreeMap<&str, usize> = BTreeMap::new();
+        proptest::test_runner::run_cases(
+            proptest::test_runner::ProptestConfig::with_cases(2_048),
+            "typed_decoder_answers_like_the_tree_oracle",
+            |rng| {
+                let valid = rng.below(3) == 0;
+                let mut bodies = Bodies { rng, valid };
+                let projection = (bodies.below(3) != 0).then_some(&geo);
+                let max_records = [0, 1, 2, 3, 5, 8, 100][bodies.below(7)];
+                let body = bodies.body().into_bytes();
+                let mut cases = vec![body.clone()];
+                for _ in 0..3 {
+                    let damaged = bodies.mutate(&body);
+                    cases.push(damaged);
+                }
+                for case in &cases {
+                    let expected = bitwise(oracle(case, projection, max_records));
+                    let decoded = bitwise(
+                        json::body_text(case)
+                            .map_err(|m| (400, m))
+                            .and_then(|text| decode_records(text, projection, max_records)),
+                    );
+                    let kind = match &expected {
+                        Ok(_) => "ok",
+                        Err((429, _)) => "too large",
+                        Err((_, m)) if m.starts_with("invalid JSON") => "syntax",
+                        Err((_, m)) if m.contains("]: ") => "bad entry",
+                        Err(_) => "bad body",
+                    };
+                    *outcomes.entry(kind).or_default() += 1;
+                    proptest::prop_assert_eq!(
+                        &decoded,
+                        &expected,
+                        "body {:?}",
+                        String::from_utf8_lossy(case)
+                    );
+                }
+                Ok(())
+            },
+        );
+        for kind in ["ok", "too large", "syntax", "bad entry", "bad body"] {
+            let seen = outcomes.get(kind).copied().unwrap_or(0);
+            assert!(seen >= 100, "only {seen} {kind:?} answers: {outcomes:?}");
+        }
     }
 
     #[test]

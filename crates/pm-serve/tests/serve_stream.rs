@@ -273,3 +273,128 @@ fn reload_hot_swaps_mid_ingest_with_zero_5xx() {
     server.stop();
     let _ = std::fs::remove_file(&path);
 }
+
+/// Sends one `POST /v1/ingest` with a raw (possibly non-UTF-8) body on a
+/// fresh `Connection: close` socket and returns `(status, body)`.
+fn post_raw(addr: SocketAddr, body: &[u8]) -> (u16, String) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut request = format!(
+        "POST /v1/ingest HTTP/1.1\r\nHost: pm-serve\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request).expect("write");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read");
+    let text = String::from_utf8(raw).expect("UTF-8 response");
+    let (head, body) = text.split_once("\r\n\r\n").expect("header block");
+    let status = head
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status");
+    (status, body.to_string())
+}
+
+/// The route answers each malformed, non-UTF-8, empty, mistyped, invalid
+/// or oversized body with the exact status and body pinned below (recorded
+/// from the route when it still parsed bodies into a `Json` tree), and a
+/// refused batch leaves the live window untouched.
+#[test]
+fn ingest_error_paths_answer_exactly_and_ingest_nothing() {
+    let server = start(ServeConfig {
+        max_batch_records: 2,
+        ..ServeConfig::default()
+    });
+    let live = || client::get(server.addr, "/v1/live/patterns").expect("live");
+    let before = live();
+    let fix = |user: &str, t: i64| format!("{{\"user\":\"{user}\",\"x\":0,\"y\":0,\"t\":{t}}}");
+    let refused: Vec<(Vec<u8>, u16, &str)> = vec![
+        (
+            b"{\"fixes\":[{\"user\":\"a\" \"x\":1}]}".to_vec(),
+            400,
+            r#"{"error":"invalid JSON: expected ',' or '}' at byte 22"}"#,
+        ),
+        (
+            b"{\"fixes\":[{\"user\":\"\xff\",\"x\":0,\"y\":0,\"t\":1}]}".to_vec(),
+            400,
+            r#"{"error":"body is not UTF-8"}"#,
+        ),
+        (
+            Vec::new(),
+            400,
+            r#"{"error":"body must be {\"fixes\":[...]} and/or {\"stays\":[...]}"}"#,
+        ),
+        (
+            b"{\"fixes\": {}}".to_vec(),
+            400,
+            r#"{"error":"fixes must be an array"}"#,
+        ),
+        (
+            format!(
+                "{{\"fixes\":[{}],\"stays\":[{{\"user\":\"\",\"x\":0,\"y\":0,\"t\":2}}]}}",
+                fix("a", 1)
+            )
+            .into_bytes(),
+            400,
+            r#"{"error":"stays[0]: user must be a non-empty string or integer"}"#,
+        ),
+        (
+            format!(
+                "{{\"fixes\":[{},{},{}]}}",
+                fix("a", 1),
+                fix("a", 2),
+                fix("a", 3)
+            )
+            .into_bytes(),
+            429,
+            r#"{"error":"batch too large (max 2 records); split and retry"}"#,
+        ),
+    ];
+    for (body, status, expected) in &refused {
+        let shown = String::from_utf8_lossy(body);
+        assert_eq!(
+            post_raw(server.addr, body),
+            (*status, expected.to_string()),
+            "{shown}"
+        );
+        assert_eq!(
+            live(),
+            before,
+            "a refused batch must ingest nothing: {shown}"
+        );
+    }
+    assert_eq!(
+        server.obs.counter("serve.errors.ingest"),
+        refused.len() as u64
+    );
+    assert_eq!(server.obs.counter("stream.fixes_accepted"), 0);
+
+    // A duplicate `fixes` key: the last value wins, and it is valid.
+    let duplicate = format!("{{\"fixes\":{{}},\"fixes\":[{}]}}", fix("d", 5));
+    assert_eq!(
+        post_raw(server.addr, duplicate.as_bytes()),
+        (
+            200,
+            "{\"epoch\":0,\"accepted\":1,\"quarantined\":0,\"dropped\":0,\"stays\":0,\
+             \"transitions\":0,\"late_transitions\":0,\"evicted\":0,\
+             \"motif_days_closed\":0,\"motif_days_oversize\":0}"
+                .to_string()
+        )
+    );
+    assert_eq!(
+        live(),
+        (
+            200,
+            "{\"epoch\":0,\"as_of\":5,\"window_secs\":86400,\"users\":1,\"stays\":0,\
+             \"total\":0,\"late_dropped\":0,\"transitions\":[]}"
+                .to_string()
+        )
+    );
+    server.stop();
+}

@@ -244,6 +244,10 @@ struct UserState {
     last_primary: Option<Category>,
     /// Last admitted event time — the eviction key.
     last_seen: Timestamp,
+    /// The time this user's `by_idle` entry is filed under: at most
+    /// `last_seen`, which the entry lags until eviction repairs it.
+    /// Derived state — `last_seen` on restore, never serialized.
+    indexed_at: Timestamp,
     /// The in-progress day graph: `(absolute day, builder)`. Nodes are
     /// primary categories (the live recognizer yields nothing finer); the
     /// day closes when a recognized stay lands in a later day, or on
@@ -265,10 +269,13 @@ pub struct IngestEngine {
     /// Bounded FIFO of emitted stays (tagged with their user), kept for
     /// background re-mining. Oldest first.
     stay_buffer: VecDeque<(String, StayPoint)>,
-    /// Eviction index: every tracked user keyed by `(last_seen, id)`, so
+    /// Eviction index: one `(indexed_at, id)` entry per tracked user, so
     /// both capacity eviction (pop the minimum) and TTL sweeps (pop while
-    /// stale) are `O(log n)` instead of a full-map scan per batch. Derived
-    /// state — rebuilt on restore, never serialized.
+    /// stale) are `O(log n)` instead of a full-map scan per batch. Entries
+    /// lag their user's `last_seen` instead of being re-keyed on every fix;
+    /// eviction repairs the lagging ones it meets at the front (see
+    /// `repair_front`). Derived state — rebuilt on restore, never
+    /// serialized.
     by_idle: BTreeSet<(Timestamp, String)>,
     /// Running total of fixes buffered across all per-user detectors —
     /// maintained on every mutation so the gauge read stays `O(1)` (the
@@ -740,6 +747,7 @@ impl IngestEngine {
                     ),
                     last_primary,
                     last_seen,
+                    indexed_at: last_seen,
                     day_graph,
                 },
             );
@@ -772,7 +780,7 @@ impl IngestEngine {
         // copy.
         let by_idle = users
             .iter()
-            .map(|(id, s)| (s.last_seen, id.clone()))
+            .map(|(id, s)| (s.indexed_at, id.clone()))
             .collect();
         let buffered = users.values().map(|s| s.detector.pending_len()).sum();
         Ok(IngestEngine {
@@ -808,12 +816,12 @@ impl IngestEngine {
                     detector: StayPointDetector::new(self.config.detector),
                     last_primary: None,
                     last_seen: point.time,
+                    indexed_at: point.time,
                     day_graph: None,
                 },
             );
             self.by_idle.insert((point.time, user.to_string()));
         }
-        let prior_seen = self.users.get(user).map(|s| s.last_seen);
         let mut emitted = Vec::new();
         let admitted = {
             let state = match self.users.get_mut(user) {
@@ -863,13 +871,6 @@ impl IngestEngine {
         if admitted {
             self.clock = Some(self.clock.map_or(point.time, |c| c.max(point.time)));
             self.motifs.advance(point.time);
-        }
-        // Re-key the eviction index if this record moved the user's clock.
-        if let (Some(old), Some(new)) = (prior_seen, self.users.get(user).map(|s| s.last_seen)) {
-            if new != old {
-                self.by_idle.remove(&(old, user.to_string()));
-                self.by_idle.insert((new, user.to_string()));
-            }
         }
         if !emitted.is_empty() {
             let (prev, mut day_graph) = match self.users.get_mut(user) {
@@ -951,12 +952,35 @@ impl IngestEngine {
         self.motifs.record(day, &graph);
     }
 
+    /// Re-files the front entry of `by_idle` under its user's `last_seen`
+    /// if it lags; returns whether it did. An accurate front entry names
+    /// the least `(last_seen, id)`: every entry sorts at or before its own
+    /// user's true key, so it sorts at or before every user's true key.
+    fn repair_front(&mut self) -> bool {
+        let Some((at, key)) = self.by_idle.first() else {
+            return false;
+        };
+        let Some(state) = self.users.get_mut(key) else {
+            return false; // unreachable: every entry names a tracked user
+        };
+        if *at == state.last_seen {
+            return false;
+        }
+        let seen = state.last_seen;
+        state.indexed_at = seen;
+        if let Some((_, key)) = self.by_idle.pop_first() {
+            self.by_idle.insert((seen, key));
+        }
+        true
+    }
+
     /// Evicts the stalest user — deterministic tie-break on the user id
-    /// (the index is ordered by `(last_seen, id)`).
+    /// (the order is `(last_seen, id)`).
     fn evict_one<R>(&mut self, recognize: &R, outcome: &mut BatchOutcome)
     where
         R: Fn(LocalPoint) -> Option<Category>,
     {
+        while self.repair_front() {}
         if let Some((_, key)) = self.by_idle.first().cloned() {
             self.remove_user(&key, recognize, outcome);
         }
@@ -974,11 +998,15 @@ impl IngestEngine {
             return;
         };
         let cutoff = clock.saturating_sub(self.config.user_ttl_secs);
-        while let Some((seen, key)) = self.by_idle.first().cloned() {
-            if seen >= cutoff {
-                break;
+        // A front entry at or past the cutoff ends the sweep, lagging or
+        // not: every other entry, and every user's true key, sorts later.
+        while self.by_idle.first().is_some_and(|(at, _)| *at < cutoff) {
+            if !self.repair_front() {
+                let Some((_, key)) = self.by_idle.first().cloned() else {
+                    break;
+                };
+                self.remove_user(&key, recognize, outcome);
             }
-            self.remove_user(&key, recognize, outcome);
         }
     }
 
@@ -990,7 +1018,7 @@ impl IngestEngine {
         let Some(mut state) = self.users.remove(key) else {
             return;
         };
-        self.by_idle.remove(&(state.last_seen, key.to_string()));
+        self.by_idle.remove(&(state.indexed_at, key.to_string()));
         self.buffered -= state.detector.pending_len();
         let mut tail = Vec::new();
         state.detector.flush(&mut tail);
@@ -1374,6 +1402,144 @@ mod tests {
         let ob = b.ingest_batch(&more, recog);
         assert_eq!(oa, ob);
         assert_eq!(a.state_bytes(), b.state_bytes());
+    }
+
+    /// Brute-force eviction reference: each tracked user's `last_seen`,
+    /// scanned in full for every decision.
+    #[derive(Default)]
+    struct EvictionModel {
+        users: BTreeMap<String, Timestamp>,
+        clock: Option<Timestamp>,
+        evicted: u64,
+    }
+
+    impl EvictionModel {
+        fn evict_min(&mut self) {
+            let stalest = self
+                .users
+                .iter()
+                .map(|(id, &seen)| (seen, id.clone()))
+                .min()
+                .map(|(_, id)| id);
+            if let Some(id) = stalest {
+                self.users.remove(&id);
+                self.evicted += 1;
+            }
+        }
+
+        fn batch(&mut self, records: &[(String, IngestRecord)], config: &EngineConfig) {
+            for (user, record) in records {
+                let t = record.point().time;
+                let admitted = match self.users.get_mut(user) {
+                    Some(seen) if t > *seen => {
+                        *seen = t;
+                        true
+                    }
+                    Some(_) => false,
+                    None => {
+                        while self.users.len() >= config.max_users {
+                            self.evict_min();
+                        }
+                        self.users.insert(user.clone(), t);
+                        true
+                    }
+                };
+                if admitted {
+                    self.clock = Some(self.clock.map_or(t, |c| c.max(t)));
+                }
+            }
+            if let Some(clock) = self.clock {
+                let cutoff = clock.saturating_sub(config.user_ttl_secs);
+                while self.users.values().any(|&seen| seen < cutoff) {
+                    self.evict_min();
+                }
+            }
+        }
+    }
+
+    /// Every tracked user has exactly one index entry, filed at or before
+    /// its `last_seen`.
+    fn index_is_sound(e: &IngestEngine) -> bool {
+        e.by_idle.len() == e.users.len()
+            && e.users.iter().all(|(id, s)| {
+                s.indexed_at <= s.last_seen && e.by_idle.contains(&(s.indexed_at, id.clone()))
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The lagging index evicts exactly the users an index re-keyed on
+        /// every fix would, in the same order: the tracked set and eviction
+        /// count match a brute-force model after every batch, and a twin
+        /// restored mid-stream (whose index is accurate) stays in lockstep.
+        #[test]
+        fn lagging_index_evicts_like_the_brute_force_model(
+            max_users in 3usize..7,
+            ttl in 200i64..600,
+            twin_at in 0usize..12,
+            raw in proptest::collection::vec((0u8..12, 0u8..4, 0u8..3, 0u16..160), 1..240),
+            cuts in proptest::collection::vec(1usize..30, 12),
+        ) {
+            let config = EngineConfig {
+                max_users,
+                user_ttl_secs: ttl,
+                ..config()
+            };
+            // Times mostly advance; a `kind` of 3 sends a record back in
+            // time, where it is quarantined unless its user was evicted.
+            let mut t: Timestamp = 1_000;
+            let mut records = Vec::with_capacity(raw.len());
+            for &(user, kind, cell, dt) in &raw {
+                t += Timestamp::from(dt);
+                let user = format!("u{user}");
+                let x = f64::from(cell) * 4_000.0;
+                records.push(match kind {
+                    0 => stay(&user, x, t),
+                    3 => fix(&user, x, t - 300),
+                    _ => fix(&user, x, t),
+                });
+            }
+            let mut batches = Vec::new();
+            let mut rest = &records[..];
+            for &cut in &cuts {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(cut.min(rest.len()));
+                batches.push(head);
+                rest = tail;
+            }
+            if !rest.is_empty() {
+                batches.push(rest);
+            }
+
+            let mut engine = IngestEngine::new(config).expect("engine");
+            let mut model = EvictionModel::default();
+            let mut twin: Option<IngestEngine> = None;
+            for (i, batch) in batches.iter().enumerate() {
+                if i == twin_at.min(batches.len() - 1) {
+                    let restored =
+                        IngestEngine::from_state_bytes(&engine.state_bytes()).expect("restore");
+                    proptest::prop_assert!(restored
+                        .users
+                        .values()
+                        .all(|s| s.indexed_at == s.last_seen));
+                    proptest::prop_assert!(index_is_sound(&restored));
+                    twin = Some(restored);
+                }
+                let outcome = engine.ingest_batch(batch, recog);
+                model.batch(batch, &config);
+                let tracked: BTreeSet<&String> = engine.users.keys().collect();
+                proptest::prop_assert_eq!(tracked, model.users.keys().collect::<BTreeSet<_>>());
+                proptest::prop_assert_eq!(engine.stats().evicted, model.evicted);
+                proptest::prop_assert!(index_is_sound(&engine));
+                if let Some(twin) = twin.as_mut() {
+                    proptest::prop_assert_eq!(twin.ingest_batch(batch, recog), outcome);
+                    proptest::prop_assert_eq!(twin.state_bytes(), engine.state_bytes());
+                }
+            }
+        }
     }
 
     #[test]
