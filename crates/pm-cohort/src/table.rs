@@ -279,7 +279,10 @@ impl CohortTable {
     /// The `k` most similar users to `query` (an index into `users`),
     /// excluding the query user. Exact scan over the scope's candidate
     /// set; ranked by (similarity desc, user id asc) so the result is
-    /// deterministic down to ties.
+    /// deterministic down to ties. `users` is strictly sorted by id
+    /// (`mine` sorts it, `from_parts` rejects anything else), so index
+    /// order is id order: the ranking compares indices, and only the `k`
+    /// kept are sorted.
     pub fn k_nearest(
         &self,
         index: &CohortIndex,
@@ -287,6 +290,9 @@ impl CohortTable {
         k: usize,
         scope: SimilarScope,
     ) -> Vec<Neighbor> {
+        if k == 0 {
+            return Vec::new();
+        }
         let q = &self.users[query];
         let mut hits: Vec<Neighbor> = Vec::new();
         let mut scan = |i: usize| {
@@ -306,14 +312,16 @@ impl CohortTable {
                 .iter()
                 .for_each(|&i| scan(i as usize)),
         }
-        hits.sort_by(|a, b| {
-            b.similarity.total_cmp(&a.similarity).then_with(|| {
-                self.users[a.user as usize]
-                    .user
-                    .cmp(&self.users[b.user as usize].user)
-            })
-        });
-        hits.truncate(k);
+        let rank = |a: &Neighbor, b: &Neighbor| {
+            b.similarity
+                .total_cmp(&a.similarity)
+                .then(a.user.cmp(&b.user))
+        };
+        if k < hits.len() {
+            hits.select_nth_unstable_by(k - 1, rank);
+            hits.truncate(k);
+        }
+        hits.sort_unstable_by(rank);
         hits
     }
 }
@@ -405,6 +413,114 @@ mod tests {
         // Ties rank by user id asc.
         assert!(hits.windows(2).all(|w| w[0].similarity > w[1].similarity
             || table.users[w[0].user as usize].user < table.users[w[1].user as usize].user));
+    }
+
+    /// The ranking before top-k selection, verbatim: every candidate
+    /// sorted with user-id tie-breaks, then truncated.
+    fn k_nearest_full_sort(
+        table: &CohortTable,
+        index: &CohortIndex,
+        query: usize,
+        k: usize,
+        scope: SimilarScope,
+    ) -> Vec<Neighbor> {
+        let q = &table.users[query];
+        let mut hits: Vec<Neighbor> = Vec::new();
+        let mut scan = |i: usize| {
+            if i == query {
+                return;
+            }
+            let s = similarity_sparse(&q.features, &table.users[i].features);
+            hits.push(Neighbor {
+                user: i as u32,
+                similarity: s,
+            });
+        };
+        match scope {
+            SimilarScope::All => (0..table.users.len()).for_each(&mut scan),
+            SimilarScope::Cohort => index
+                .members(q.cohort)
+                .iter()
+                .for_each(|&i| scan(i as usize)),
+        }
+        hits.sort_by(|a, b| {
+            b.similarity.total_cmp(&a.similarity).then_with(|| {
+                table.users[a.user as usize]
+                    .user
+                    .cmp(&table.users[b.user as usize].user)
+            })
+        });
+        hits.truncate(k);
+        hits
+    }
+
+    #[test]
+    fn top_k_matches_the_full_sort_on_tied_tables() {
+        // SplitMix64, so every seed replays the same table.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let (mut singletons, mut zero_ties, mut equal_ties) = (0, 0, 0);
+        for seed in 0..40u64 {
+            let mut rng = seed;
+            let n = 1 + (next(&mut rng) % 40) as usize;
+            // Few distinct behaviours, so feature vectors repeat exactly;
+            // behaviour 9 lives on units no one else visits, so it scores 0
+            // against everyone else.
+            let shapes = 1 + next(&mut rng) % 4;
+            let mut embeddings = Vec::new();
+            for u in 0..n {
+                let shape = if next(&mut rng).is_multiple_of(5) {
+                    9
+                } else {
+                    next(&mut rng) % shapes
+                };
+                let stays: Vec<UserStay> = (0..6)
+                    .map(|i| UserStay {
+                        unit: shape * 100 + (i % (1 + shape % 3)),
+                        category: Some(Category::from_index(((shape + i) % 15) as usize)),
+                        time: (i * 30_000) as i64,
+                    })
+                    .collect();
+                // Ids hash out of index order, so the id tie-break is real.
+                embeddings.push(embed_user(format!("{:x}-{u}", next(&mut rng) % 97), &stays));
+            }
+            let table = CohortTable::mine(
+                embeddings,
+                &CohortParams {
+                    k: 1 + (next(&mut rng) % 3) as usize,
+                    k_min: 1,
+                    ..CohortParams::default()
+                },
+            );
+            let index = CohortIndex::build(&table);
+            singletons += table.cohorts.iter().filter(|c| c.size == 1).count();
+            for query in 0..n {
+                let all = table.k_nearest(&index, query, n, SimilarScope::All);
+                zero_ties += all.windows(2).filter(|w| w[1].similarity == 0.0).count();
+                equal_ties += all
+                    .windows(2)
+                    .filter(|w| w[0].similarity == w[1].similarity && w[1].similarity > 0.0)
+                    .count();
+                for scope in [SimilarScope::All, SimilarScope::Cohort] {
+                    for k in 0..=n + 1 {
+                        let fast = table.k_nearest(&index, query, k, scope);
+                        let oracle = k_nearest_full_sort(&table, &index, query, k, scope);
+                        let bits = |hits: &[Neighbor]| {
+                            hits.iter()
+                                .map(|h| (h.user, h.similarity.to_bits()))
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(bits(&fast), bits(&oracle), "seed {seed} q {query} k {k}");
+                    }
+                }
+            }
+        }
+        assert!(singletons > 0 && zero_ties > 0 && equal_ties > 0);
     }
 
     #[test]

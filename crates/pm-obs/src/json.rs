@@ -9,6 +9,12 @@ use std::fmt::Write as _;
 /// Appends `s` to `out` as a JSON string literal, quotes included.
 pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        // Nothing to escape: one copy.
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -27,12 +33,19 @@ pub fn write_str(out: &mut String, s: &str) {
 
 /// Renders an `f64` as a JSON number token; non-finite values become `null`.
 pub fn number(v: f64) -> String {
+    let mut out = String::new();
+    write_number(&mut out, v);
+    out
+}
+
+/// Appends [`number`]'s token for `v` to `out`, with no temporary string.
+pub fn write_number(out: &mut String, v: f64) {
     if v.is_finite() {
         // Shortest round-trip formatting; Rust's `Display` for finite f64
         // only emits digits, '.', '-', and 'e' exponents — all valid JSON.
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -55,6 +68,12 @@ mod tests {
         let mut out = String::new();
         write_str(&mut out, "a\"b\\c\nd\te\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+        // Strings with nothing to escape are copied as they are.
+        for s in ["", "Residence", "Shop & Market", "user-07", "café ✓"] {
+            let mut out = String::new();
+            write_str(&mut out, s);
+            assert_eq!(out, format!("\"{s}\""));
+        }
     }
 
     #[test]

@@ -226,6 +226,10 @@ pub fn write_response(
 /// [`write_response`] with an optional `Retry-After` header (seconds) — the
 /// server attaches it to overload answers (`429`/`503`) so well-behaved
 /// clients back off by the server's clock instead of guessing.
+///
+/// Head and body leave in one `write`, as one segment: the server sets
+/// `TCP_NODELAY`, so a head-then-body pair would cost two syscalls and two
+/// segments per response (the client sends requests the same way).
 pub fn write_response_with(
     stream: &mut impl Write,
     status: u16,
@@ -233,19 +237,21 @@ pub fn write_response_with(
     close: bool,
     retry_after: Option<u64>,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut out = Vec::with_capacity(160 + body.len());
+    write!(
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
         status,
         status_text(status),
         body.len(),
         if close { "close" } else { "keep-alive" }
-    );
+    )?;
     if let Some(secs) = retry_after {
-        head.push_str(&format!("Retry-After: {secs}\r\n"));
+        write!(out, "Retry-After: {secs}\r\n")?;
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body.as_bytes());
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -321,6 +327,50 @@ mod tests {
         let mut out = Vec::new();
         write_response_with(&mut out, 200, "{}", false, None).unwrap();
         assert!(!String::from_utf8(out).unwrap().contains("Retry-After"));
+    }
+
+    /// Counts `write` calls and keeps every byte written.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_the_same_bytes() {
+        for len in [0, 1024, 1024 * 1024] {
+            let body = "x".repeat(len);
+            for (status, close, retry_after) in [(200, false, None), (429, true, Some(3))] {
+                let mut out = CountingWriter::default();
+                write_response_with(&mut out, status, &body, close, retry_after).unwrap();
+                assert_eq!(out.writes, 1, "{len}-byte body, retry {retry_after:?}");
+                // The head-then-body bytes the writer always produced.
+                let mut head = format!(
+                    "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
+                    status,
+                    status_text(status),
+                    body.len(),
+                    if close { "close" } else { "keep-alive" }
+                );
+                if let Some(secs) = retry_after {
+                    head.push_str(&format!("Retry-After: {secs}\r\n"));
+                }
+                head.push_str("\r\n");
+                assert_eq!(out.bytes, [head.as_bytes(), body.as_bytes()].concat());
+            }
+        }
     }
 
     #[test]

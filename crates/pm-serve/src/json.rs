@@ -314,9 +314,10 @@ pub fn push_str_lit(out: &mut String, s: &str) {
     pm_obs::json::write_str(out, s);
 }
 
-/// Renders an `f64` exactly as every other workspace JSON emitter does.
-pub fn num(v: f64) -> String {
-    pm_obs::json::number(v)
+/// Renders an `f64` into `out` exactly as every other workspace JSON
+/// emitter does.
+pub fn push_num(out: &mut String, v: f64) {
+    pm_obs::json::write_number(out, v);
 }
 
 /// A `{"error": ...}` body.

@@ -17,6 +17,8 @@ use pm_geo::{GeoPoint, LocalPoint, Projection};
 use pm_io::parse_category;
 use pm_motif::{MotifClass, MAX_NODES};
 use pm_store::Artifact;
+use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// Default (and maximum) number of patterns one query returns.
 pub const DEFAULT_PATTERN_LIMIT: usize = 50;
@@ -33,6 +35,18 @@ pub struct Snapshot {
     /// artifact carries a cohort index — the immutable side structure the
     /// per-user endpoints search against.
     cohort_index: Option<CohortIndex>,
+    /// Rendered cohort entries and motif classes, built on the first
+    /// `/v1/cohorts` or `/v1/motifs` request and dropped with the snapshot.
+    fragments: OnceLock<Fragments>,
+}
+
+/// What every `/v1/cohorts` and `/v1/motifs` answer splices: each cohort's
+/// entry (the suppression marker below `k_min`), in id order, and each
+/// motif class, in rank order.
+#[derive(Debug)]
+struct Fragments {
+    cohorts: Vec<String>,
+    motif_classes: Vec<String>,
 }
 
 impl Snapshot {
@@ -49,7 +63,37 @@ impl Snapshot {
             kernel: GaussianKernel::new(r3sigma),
             projection,
             cohort_index,
+            fragments: OnceLock::new(),
             artifact,
+        })
+    }
+
+    fn fragments(&self) -> &Fragments {
+        fn render<T>(items: &[T], push: impl Fn(&mut String, &T)) -> Vec<String> {
+            items
+                .iter()
+                .map(|item| {
+                    let mut out = String::new();
+                    push(&mut out, item);
+                    out
+                })
+                .collect()
+        }
+        self.fragments.get_or_init(|| Fragments {
+            cohorts: self
+                .artifact
+                .cohorts
+                .as_ref()
+                .map_or_else(Vec::new, |table| {
+                    render(&table.cohorts, |out, cohort| {
+                        push_cohort_entry(out, table, cohort)
+                    })
+                }),
+            motif_classes: self
+                .artifact
+                .motifs
+                .as_ref()
+                .map_or_else(Vec::new, |table| render(&table.classes, push_motif_class)),
         })
     }
 
@@ -135,10 +179,11 @@ impl Snapshot {
             None => out.push_str("null"),
             Some(id) => {
                 let u = &self.artifact.csd.units()[id];
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"id\":{id},\"size\":{},\"center\":",
                     u.members.len()
-                ));
+                );
                 self.push_point(&mut out, u.center);
                 out.push_str(",\"tags\":");
                 push_tags(&mut out, u.tags);
@@ -286,11 +331,12 @@ impl Snapshot {
                 }
                 json::push_str_lit(&mut out, c.name());
             }
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "],\"support\":{},\"len\":{},\"stays\":[",
                 p.support(),
                 p.len()
-            ));
+            );
             for (k, sp) in p.stays.iter().enumerate() {
                 if k > 0 {
                     out.push(',');
@@ -310,30 +356,29 @@ impl Snapshot {
     /// section is optional, so pre-motif artifacts serve everything else).
     pub fn motifs_json(&self, query: &MotifQuery) -> Option<String> {
         let table = self.artifact.motifs.as_ref()?;
-        let matched: Vec<&MotifClass> = table
+        let matched: Vec<&str> = table
             .classes
             .iter()
-            .filter(|c| {
+            .zip(&self.fragments().motif_classes)
+            .filter(|(c, _)| {
                 c.nodes >= query.min_nodes
                     && c.nodes <= query.max_nodes
                     && query
                         .category
                         .is_none_or(|cat| c.category_counts[cat as usize] > 0)
             })
+            .map(|(_, fragment)| fragment.as_str())
             .collect();
-        let mut out = format!(
+        let mut out = String::new();
+        let _ = write!(
+            out,
             "{{\"total_days\":{},\"oversize_days\":{},\"total_classes\":{},\"returned\":{},\"classes\":[",
             table.total_days,
             table.oversize_days,
             matched.len(),
             matched.len().min(query.top),
         );
-        for (i, class) in matched.iter().take(query.top).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_motif_class(&mut out, class);
-        }
+        push_joined(&mut out, matched.into_iter().take(query.top));
         out.push_str("]}");
         Some(out)
     }
@@ -357,48 +402,34 @@ impl Snapshot {
     pub fn cohorts_json(&self, query: &CohortQuery) -> Option<(String, u64)> {
         let table = self.artifact.cohorts.as_ref()?;
         let mut suppressed = 0u64;
-        let mut entries = String::new();
         let mut returned = 0usize;
-        let mut first = true;
-        for cohort in &table.cohorts {
+        let mut entries = Vec::new();
+        for (cohort, fragment) in table.cohorts.iter().zip(&self.fragments().cohorts) {
             if table.suppressed(cohort.size) {
                 suppressed += 1;
-                if !first {
-                    entries.push(',');
-                }
-                first = false;
-                entries.push_str(&format!("{{\"id\":{},\"suppressed\":true}}", cohort.id));
+            } else if query
+                .category
+                .is_none_or(|cat| cohort.dominant_category() == Some(cat))
+                && cohort.size >= query.min_size
+                && returned < query.top
+            {
+                returned += 1;
+            } else {
                 continue;
             }
-            let dominant = cohort.dominant_category();
-            let category_ok = query.category.is_none_or(|cat| dominant == Some(cat));
-            if !category_ok || cohort.size < query.min_size || returned >= query.top {
-                continue;
-            }
-            returned += 1;
-            if !first {
-                entries.push(',');
-            }
-            first = false;
-            entries.push_str(&format!(
-                "{{\"id\":{},\"size\":{},\"mean_active_days\":{},\"mean_stays\":{},\"dominant\":",
-                cohort.id,
-                cohort.size,
-                json::num(cohort.mean_active_days),
-                json::num(cohort.mean_stays),
-            ));
-            push_primary(&mut entries, dominant);
-            entries.push_str(",\"mix\":");
-            push_mix(&mut entries, &cohort.category_mix);
-            entries.push('}');
+            entries.push(fragment.as_str());
         }
-        let body = format!(
-            "{{\"k_min\":{},\"method\":\"{}\",\"total_users\":{},\"total_cohorts\":{},\"returned\":{returned},\"suppressed\":{suppressed},\"cohorts\":[{entries}]}}",
+        let mut body = String::new();
+        let _ = write!(
+            body,
+            "{{\"k_min\":{},\"method\":\"{}\",\"total_users\":{},\"total_cohorts\":{},\"returned\":{returned},\"suppressed\":{suppressed},\"cohorts\":[",
             table.k_min,
             table.method.name(),
             table.users.len(),
             table.cohorts.len(),
         );
+        push_joined(&mut body, entries);
+        body.push_str("]}");
         Some((body, suppressed))
     }
 
@@ -416,17 +447,18 @@ impl Snapshot {
         let record = &table.users[idx];
         let mut out = String::from("{\"user\":");
         json::push_str_lit(&mut out, &record.user);
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             ",\"stays\":{},\"active_days\":{},\"transitions\":{},\"categories\":",
             record.stays, record.active_days, record.transitions
-        ));
+        );
         push_category_counts(&mut out, &record.category_visits);
         out.push_str(",\"top_units\":[");
         for (i, &(unit, visits)) in record.top_units.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{{\"unit\":{unit},\"visits\":{visits}}}"));
+            let _ = write!(out, "{{\"unit\":{unit},\"visits\":{visits}}}");
         }
         out.push_str("],\"cohort\":");
         let suppressed = push_cohort_ref(&mut out, table, &table.cohorts[record.cohort as usize]);
@@ -454,7 +486,8 @@ impl Snapshot {
 
         let mut out = String::from("{\"user\":");
         json::push_str_lit(&mut out, user);
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             ",\"k\":{},\"scope\":\"{}\",\"returned\":{},\"neighbors\":[",
             query.k,
             match query.scope {
@@ -462,7 +495,7 @@ impl Snapshot {
                 SimilarScope::Cohort => "cohort",
             },
             neighbors.len()
-        ));
+        );
         let mut sim_sum = 0.0;
         let mut visits = [0u64; Category::COUNT];
         for (i, n) in neighbors.iter().enumerate() {
@@ -472,7 +505,9 @@ impl Snapshot {
             }
             out.push_str("{\"user\":");
             json::push_str_lit(&mut out, &record.user);
-            out.push_str(&format!(",\"similarity\":{}}}", json::num(n.similarity)));
+            out.push_str(",\"similarity\":");
+            json::push_num(&mut out, n.similarity);
+            out.push('}');
             sim_sum += n.similarity;
             for (slot, &v) in visits.iter_mut().zip(&record.category_visits) {
                 *slot += v;
@@ -484,11 +519,9 @@ impl Snapshot {
             1
         } else {
             let mean = sim_sum / neighbors.len() as f64;
-            out.push_str(&format!(
-                "{{\"size\":{},\"mean_similarity\":{},\"categories\":",
-                neighbors.len(),
-                json::num(mean)
-            ));
+            let _ = write!(out, "{{\"size\":{},\"mean_similarity\":", neighbors.len());
+            json::push_num(&mut out, mean);
+            out.push_str(",\"categories\":");
             push_category_counts(&mut out, &visits);
             out.push('}');
             0
@@ -502,18 +535,16 @@ impl Snapshot {
     /// A position object; includes `lat`/`lon` when the artifact is
     /// geo-anchored.
     fn push_point(&self, out: &mut String, pos: LocalPoint) {
-        out.push_str(&format!(
-            "{{\"x\":{},\"y\":{}",
-            json::num(pos.x),
-            json::num(pos.y)
-        ));
+        out.push_str("{\"x\":");
+        json::push_num(out, pos.x);
+        out.push_str(",\"y\":");
+        json::push_num(out, pos.y);
         if let Some(projection) = &self.projection {
             let geo = projection.to_geo(pos);
-            out.push_str(&format!(
-                ",\"lon\":{},\"lat\":{}",
-                json::num(geo.lon),
-                json::num(geo.lat)
-            ));
+            out.push_str(",\"lon\":");
+            json::push_num(out, geo.lon);
+            out.push_str(",\"lat\":");
+            json::push_num(out, geo.lat);
         }
         out.push('}');
     }
@@ -529,13 +560,15 @@ impl Snapshot {
         };
         out.push_str("{\"pos\":");
         self.push_point(out, sp.pos);
-        out.push_str(&format!(",\"t\":{},\"tags\":", sp.time));
+        let _ = write!(out, ",\"t\":{},\"tags\":", sp.time);
         push_tags(out, tags);
         out.push_str(",\"primary\":");
         push_primary(out, primary);
         if recognize {
             match unit {
-                Some(id) => out.push_str(&format!(",\"unit\":{id}")),
+                Some(id) => {
+                    let _ = write!(out, ",\"unit\":{id}");
+                }
                 None => out.push_str(",\"unit\":null"),
             }
         }
@@ -703,7 +736,7 @@ fn push_category_counts(out: &mut String, counts: &[u64; Category::COUNT]) {
         }
         first = false;
         json::push_str_lit(out, Category::from_index(i).name());
-        out.push_str(&format!(":{count}"));
+        let _ = write!(out, ":{count}");
     }
     out.push('}');
 }
@@ -722,7 +755,7 @@ fn push_mix(out: &mut String, mix: &[f64; Category::COUNT]) {
         first = false;
         json::push_str_lit(out, Category::from_index(i).name());
         out.push(':');
-        out.push_str(&json::num(share));
+        json::push_num(out, share);
     }
     out.push('}');
 }
@@ -732,16 +765,54 @@ fn push_mix(out: &mut String, mix: &[f64; Category::COUNT]) {
 /// aggregates were suppressed (0 or 1).
 fn push_cohort_ref(out: &mut String, table: &CohortTable, cohort: &Cohort) -> u64 {
     if table.suppressed(cohort.size) {
-        out.push_str(&format!("{{\"id\":{},\"suppressed\":true}}", cohort.id));
+        push_suppressed(out, cohort);
         return 1;
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "{{\"id\":{},\"size\":{},\"dominant\":",
         cohort.id, cohort.size
-    ));
+    );
     push_primary(out, cohort.dominant_category());
     out.push('}');
     0
+}
+
+/// A cohort's id-only marker, standing in for an aggregate below `k_min`.
+fn push_suppressed(out: &mut String, cohort: &Cohort) {
+    let _ = write!(out, "{{\"id\":{},\"suppressed\":true}}", cohort.id);
+}
+
+/// A cohort's `/v1/cohorts` entry: the full aggregate at or above `k_min`,
+/// the suppression marker below it.
+fn push_cohort_entry(out: &mut String, table: &CohortTable, cohort: &Cohort) {
+    if table.suppressed(cohort.size) {
+        push_suppressed(out, cohort);
+        return;
+    }
+    let _ = write!(
+        out,
+        "{{\"id\":{},\"size\":{},\"mean_active_days\":",
+        cohort.id, cohort.size
+    );
+    json::push_num(out, cohort.mean_active_days);
+    out.push_str(",\"mean_stays\":");
+    json::push_num(out, cohort.mean_stays);
+    out.push_str(",\"dominant\":");
+    push_primary(out, cohort.dominant_category());
+    out.push_str(",\"mix\":");
+    push_mix(out, &cohort.category_mix);
+    out.push('}');
+}
+
+/// Comma-joins pre-rendered JSON values into `out`.
+fn push_joined<'a>(out: &mut String, items: impl IntoIterator<Item = &'a str>) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(item);
+    }
 }
 
 fn parse_nodes(key: &str, value: &str) -> Result<u8, String> {
@@ -760,15 +831,12 @@ fn parse_nodes(key: &str, value: &str) -> Result<u8, String> {
 /// identically. The canonical form is a hex *string*: it is a full `u64`
 /// and must survive JSON parsers that read numbers as `f64`.
 pub(crate) fn push_motif_class(out: &mut String, class: &MotifClass) {
-    out.push_str(&format!(
-        "{{\"id\":{},\"form\":\"{:#x}\",\"nodes\":{},\"edges\":{},\"days\":{},\"share\":{}",
-        class.id,
-        class.form,
-        class.nodes,
-        class.edges,
-        class.days,
-        json::num(class.share),
-    ));
+    let _ = write!(
+        out,
+        "{{\"id\":{},\"form\":\"{:#x}\",\"nodes\":{},\"edges\":{},\"days\":{},\"share\":",
+        class.id, class.form, class.nodes, class.edges, class.days,
+    );
+    json::push_num(out, class.share);
     out.push_str(",\"categories\":{");
     let mut first = true;
     for (i, &count) in class.category_counts.iter().enumerate() {
@@ -780,17 +848,18 @@ pub(crate) fn push_motif_class(out: &mut String, class: &MotifClass) {
         }
         first = false;
         json::push_str_lit(out, Category::from_index(i).name());
-        out.push_str(&format!(":{count}"));
+        let _ = write!(out, ":{count}");
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "}},\"untagged_nodes\":{},\"exemplar\":[",
         class.untagged_nodes
-    ));
+    );
     for (k, (a, b)) in class.exemplar_edges().iter().enumerate() {
         if k > 0 {
             out.push(',');
         }
-        out.push_str(&format!("[{a},{b}]"));
+        let _ = write!(out, "[{a},{b}]");
     }
     out.push_str("]}");
 }
@@ -1176,6 +1245,164 @@ mod tests {
         };
         let (body, _) = s.cohorts_json(&q).expect("table");
         assert!(body.contains("\"returned\":0,"), "{body}");
+    }
+
+    /// `/v1/motifs` before per-snapshot fragments, verbatim.
+    fn motifs_json_per_request(s: &Snapshot, query: &MotifQuery) -> Option<String> {
+        let table = s.artifact.motifs.as_ref()?;
+        let matched: Vec<&MotifClass> = table
+            .classes
+            .iter()
+            .filter(|c| {
+                c.nodes >= query.min_nodes
+                    && c.nodes <= query.max_nodes
+                    && query
+                        .category
+                        .is_none_or(|cat| c.category_counts[cat as usize] > 0)
+            })
+            .collect();
+        let mut out = format!(
+            "{{\"total_days\":{},\"oversize_days\":{},\"total_classes\":{},\"returned\":{},\"classes\":[",
+            table.total_days,
+            table.oversize_days,
+            matched.len(),
+            matched.len().min(query.top),
+        );
+        for (i, class) in matched.iter().take(query.top).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_motif_class(&mut out, class);
+        }
+        out.push_str("]}");
+        Some(out)
+    }
+
+    /// `/v1/cohorts` before per-snapshot fragments, verbatim.
+    fn cohorts_json_per_request(s: &Snapshot, query: &CohortQuery) -> Option<(String, u64)> {
+        let table = s.artifact.cohorts.as_ref()?;
+        let mut suppressed = 0u64;
+        let mut entries = String::new();
+        let mut returned = 0usize;
+        let mut first = true;
+        for cohort in &table.cohorts {
+            if table.suppressed(cohort.size) {
+                suppressed += 1;
+                if !first {
+                    entries.push(',');
+                }
+                first = false;
+                entries.push_str(&format!("{{\"id\":{},\"suppressed\":true}}", cohort.id));
+                continue;
+            }
+            let dominant = cohort.dominant_category();
+            let category_ok = query.category.is_none_or(|cat| dominant == Some(cat));
+            if !category_ok || cohort.size < query.min_size || returned >= query.top {
+                continue;
+            }
+            returned += 1;
+            if !first {
+                entries.push(',');
+            }
+            first = false;
+            entries.push_str(&format!(
+                "{{\"id\":{},\"size\":{},\"mean_active_days\":{},\"mean_stays\":{},\"dominant\":",
+                cohort.id,
+                cohort.size,
+                pm_obs::json::number(cohort.mean_active_days),
+                pm_obs::json::number(cohort.mean_stays),
+            ));
+            push_primary(&mut entries, dominant);
+            entries.push_str(",\"mix\":");
+            push_mix(&mut entries, &cohort.category_mix);
+            entries.push('}');
+        }
+        let body = format!(
+            "{{\"k_min\":{},\"method\":\"{}\",\"total_users\":{},\"total_cohorts\":{},\"returned\":{returned},\"suppressed\":{suppressed},\"cohorts\":[{entries}]}}",
+            table.k_min,
+            table.method.name(),
+            table.users.len(),
+            table.cohorts.len(),
+        );
+        Some((body, suppressed))
+    }
+
+    /// A mined tiny city with motifs and cohorts, its anonymity floor
+    /// raised so that the smaller cohorts are suppressed.
+    fn mined_snapshot() -> Snapshot {
+        let ds = pm_eval::Dataset::generate(&pm_synth::CityConfig::tiny(42));
+        let params = MinerParams {
+            sigma: 20,
+            ..MinerParams::default()
+        };
+        let corpus = (ds.trajectories.into_iter().enumerate())
+            .map(|(i, traj)| (format!("rider-{i}"), traj))
+            .collect();
+        let cohort = pm_cohort::CohortParams::default();
+        let mut artifact =
+            crate::mine_artifact(&ds.pois, corpus, &params, &cohort, &pm_obs::Obs::noop())
+                .expect("mine");
+        let table = artifact.cohorts.as_mut().expect("cohorts");
+        let mut sizes: Vec<u64> = table.cohorts.iter().map(|c| c.size).collect();
+        sizes.sort_unstable();
+        table.k_min = sizes[sizes.len() / 2] as u32;
+        Snapshot::new(artifact).expect("snapshot")
+    }
+
+    #[test]
+    fn spliced_fragments_match_the_per_request_renderers() {
+        let mined = mined_snapshot();
+        let suppressed = |s: &Snapshot| {
+            let table = s.cohort_table().expect("table");
+            table
+                .cohorts
+                .iter()
+                .filter(|c| table.suppressed(c.size))
+                .count()
+        };
+        assert!(
+            suppressed(&mined) > 0
+                && suppressed(&mined) < mined.cohort_table().unwrap().cohorts.len()
+        );
+        assert!(mined
+            .artifact
+            .motifs
+            .as_ref()
+            .is_some_and(|t| t.classes.len() > 1));
+        let empty = empty_snapshot();
+        let cohorts = cohort_snapshot();
+        for s in [&mined, &empty, &cohorts] {
+            // Built on first use, not when the snapshot is made.
+            assert!(s.fragments.get().is_none());
+            let categories = std::iter::once(None).chain(Category::ALL.map(Some));
+            for category in categories.clone() {
+                for min_size in [0, 1, 2, 5, 10, 1_000] {
+                    for top in [0, 1, 2, 3, 5, DEFAULT_PATTERN_LIMIT] {
+                        let q = CohortQuery {
+                            category,
+                            min_size,
+                            top,
+                        };
+                        assert_eq!(s.cohorts_json(&q), cohorts_json_per_request(s, &q), "{q:?}");
+                    }
+                }
+                for min_nodes in 1..=MAX_NODES as u8 {
+                    for max_nodes in min_nodes..=MAX_NODES as u8 {
+                        for top in [0, 1, 3, 10, DEFAULT_PATTERN_LIMIT] {
+                            let q = MotifQuery {
+                                min_nodes,
+                                max_nodes,
+                                category,
+                                top,
+                            };
+                            assert_eq!(s.motifs_json(&q), motifs_json_per_request(s, &q), "{q:?}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(empty.cohorts_json(&CohortQuery::default()).is_none());
+        assert!(cohorts.motifs_json(&MotifQuery::default()).is_none());
     }
 
     #[test]

@@ -44,6 +44,7 @@ use pm_store::Artifact;
 use pm_stream::{
     BatchOutcome, EngineConfig, IngestRecord, Recognizer, ShardConfig, ShardedEngine, StreamError,
 };
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -277,13 +278,16 @@ impl ServeState {
         self.absorb_advance(&advance);
         let mut out = format!("{{\"epoch\":{}", self.epoch());
         match view.as_of {
-            Some(t) => out.push_str(&format!(",\"as_of\":{t}")),
+            Some(t) => {
+                let _ = write!(out, ",\"as_of\":{t}");
+            }
             None => out.push_str(",\"as_of\":null"),
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             ",\"window_secs\":{},\"users\":{},\"stays\":{},\"total\":{},\"late_dropped\":{},\"transitions\":[",
             view.window_secs, view.users, view.stays, view.total, view.late_dropped,
-        ));
+        );
         for (i, (from, to, count)) in view.transitions.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -292,7 +296,7 @@ impl ServeState {
             json::push_str_lit(&mut out, from.name());
             out.push_str(",\"to\":");
             json::push_str_lit(&mut out, to.name());
-            out.push_str(&format!(",\"count\":{count}}}"));
+            let _ = write!(out, ",\"count\":{count}}}");
         }
         out.push_str("]}");
         out
@@ -309,17 +313,20 @@ impl ServeState {
         self.absorb_advance(&advance);
         let mut out = format!("{{\"epoch\":{}", self.epoch());
         match view.as_of {
-            Some(t) => out.push_str(&format!(",\"as_of\":{t}")),
+            Some(t) => {
+                let _ = write!(out, ",\"as_of\":{t}");
+            }
             None => out.push_str(",\"as_of\":null"),
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             ",\"window_days\":{},\"days_closed\":{},\"days_oversize\":{},\"total_days\":{},\"oversize_days\":{},\"classes\":[",
             view.window_days,
             view.days_closed,
             view.days_oversize,
             view.table.total_days,
             view.table.oversize_days,
-        ));
+        );
         for (i, class) in view.table.classes.iter().enumerate() {
             if i > 0 {
                 out.push(',');

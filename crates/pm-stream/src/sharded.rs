@@ -33,6 +33,12 @@
 //! guarantees an eviction-flushed stay is always older than the window, so
 //! its transitions land in `late_dropped` no matter *when* the flush runs.
 //!
+//! Draining costs a round trip through every shard thread only while a
+//! shard job is in flight. Jobs are counted as they are submitted under the
+//! sequencer and uncounted once their engine lock is released; a read holds
+//! the sequencer, so a zero count means every submitted job's mutations are
+//! already behind the engine mutexes and there is nothing to wait for.
+//!
 //! # What merges, and what is per-shard
 //!
 //! Reads merge deterministically: per-`(from, to)` window counts, user
@@ -64,7 +70,8 @@ use pm_geo::LocalPoint;
 use pm_motif::MotifTable;
 use pm_runtime::ShardPool;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Shared recognizer closure: maps a stay position onto its primary
 /// category. `Arc`'d so shard workers can hold it across threads.
@@ -245,6 +252,20 @@ pub struct ShardedEngine {
     /// order equals seal order; released before waiting on results so
     /// batches pipeline across shards.
     clock: Mutex<Option<Timestamp>>,
+    /// Shard jobs submitted and not yet finished: raised under the
+    /// sequencer before each submission, lowered by [`InFlight`]'s drop
+    /// once the job has released its engine lock.
+    in_flight: Arc<AtomicUsize>,
+}
+
+/// Lowers the in-flight count when a shard job ends, returning or
+/// panicking alike.
+struct InFlight(Arc<AtomicUsize>);
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
 }
 
 impl ShardedEngine {
@@ -304,6 +325,7 @@ impl ShardedEngine {
                 shards: Arc::new(shards),
                 pool,
                 clock: Mutex::new(global),
+                in_flight: Arc::new(AtomicUsize::new(0)),
                 config,
             },
             recovery,
@@ -322,6 +344,7 @@ impl ShardedEngine {
             }]),
             pool: None,
             clock: Mutex::new(clock),
+            in_flight: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -419,9 +442,16 @@ impl ShardedEngine {
                     Some(pool) => {
                         let shards = Arc::clone(&self.shards);
                         let rec = Arc::clone(recognize);
+                        self.in_flight.fetch_add(1, Ordering::Relaxed);
+                        let done = InFlight(Arc::clone(&self.in_flight));
                         pending.push(pool.run(i, move || {
-                            lock_engine(&shards[i].engine)
-                                .ingest_batch_sealed(&part, seal, |p| rec(p))
+                            let outcome = lock_engine(&shards[i].engine).ingest_batch_sealed(
+                                &part,
+                                seal,
+                                |p| rec(p),
+                            );
+                            drop(done); // after the engine guard, even on unwind
+                            outcome
                         }));
                     }
                     None => {
@@ -440,6 +470,26 @@ impl ShardedEngine {
         (outcome, tick)
     }
 
+    /// Waits until every submitted shard job has finished. The caller holds
+    /// the sequencer (`_sequencer`), so nothing can enqueue meanwhile; with
+    /// no job in flight there is nothing to wait for, and the engine
+    /// mutexes already order every finished job's writes before our reads.
+    fn drain(&self, _sequencer: &MutexGuard<'_, Option<Timestamp>>) {
+        let Some(pool) = &self.pool else {
+            return;
+        };
+        if self.in_flight.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        // One no-op per shard queue: each runs after that shard's jobs.
+        let barriers: Vec<_> = (0..self.config.shards)
+            .map(|i| pool.run(i, || ()))
+            .collect();
+        for rx in barriers {
+            rx.recv().expect("barrier job");
+        }
+    }
+
     /// Settles the engine (freeze the clock, drain the shard queues, catch
     /// every shard up) and runs `f` over the per-shard engine guards. The
     /// returned outcome carries whatever the catch-up sweep evicted; the
@@ -451,16 +501,7 @@ impl ShardedEngine {
     ) -> (T, BatchOutcome) {
         let clock = self.clock.lock().expect("clock lock");
         let global = *clock;
-        if let Some(pool) = &self.pool {
-            // Drain: one no-op per shard queue; nothing new can enqueue
-            // while we hold the sequencer.
-            let barriers: Vec<_> = (0..self.config.shards)
-                .map(|i| pool.run(i, || ()))
-                .collect();
-            for rx in barriers {
-                rx.recv().expect("barrier job");
-            }
-        }
+        self.drain(&clock);
         let mut outcome = BatchOutcome::default();
         let mut guards: Vec<MutexGuard<'_, IngestEngine>> =
             self.shards.iter().map(|s| lock_engine(&s.engine)).collect();
@@ -602,15 +643,8 @@ impl ShardedEngine {
     /// then writes each shard's engine state into its own log. One logical
     /// checkpoint, N durable files. No-op without a WAL.
     pub fn checkpoint_all(&self) -> Result<(), StreamError> {
-        let _clock = self.clock.lock().expect("clock lock");
-        if let Some(pool) = &self.pool {
-            let barriers: Vec<_> = (0..self.config.shards)
-                .map(|i| pool.run(i, || ()))
-                .collect();
-            for rx in barriers {
-                rx.recv().expect("barrier job");
-            }
-        }
+        let clock = self.clock.lock().expect("clock lock");
+        self.drain(&clock);
         for shard in self.shards.iter() {
             let Some(wal) = &shard.wal else {
                 continue;
@@ -631,8 +665,10 @@ impl std::fmt::Debug for ShardedEngine {
     }
 }
 
+/// Locks a shard's engine. A shard job that panicked mid-batch poisons the
+/// mutex; reads keep serving the state it left rather than failing forever.
 fn lock_engine<'a>(engine: &'a Mutex<IngestEngine>) -> MutexGuard<'a, IngestEngine> {
-    engine.lock().expect("shard engine lock")
+    engine.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn absorb_report(into: &mut RecoveryReport, from: &RecoveryReport) {
@@ -898,6 +934,191 @@ mod tests {
         assert!(rec.report.replayed_batches > 0, "the tail replays");
         assert_eq!(engine.live_view(&recog).0, reference);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `threads` disjoint user groups, one stay per user per round; rounds
+    /// sit eight hours apart, so no record is late, no user idles past the
+    /// TTL, and days close — the end state does not depend on how the
+    /// groups' batches of one round interleave.
+    fn rounds(threads: usize, users: usize, rounds: i64) -> Vec<Vec<Vec<(String, IngestRecord)>>> {
+        (0..threads)
+            .map(|g| {
+                (0..rounds)
+                    .map(|r| {
+                        (0..users)
+                            .map(|u| {
+                                let x = if (r as usize + u).is_multiple_of(2) {
+                                    0.0
+                                } else {
+                                    9_000.0
+                                };
+                                stay(&format!("g{g}-u{u}"), x, 1_000 + r * 28_800 + u as i64)
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reads_racing_ingest_settle_to_the_single_shard_reference() {
+        let groups = rounds(2, 9, 9);
+        let recog = recognizer();
+        let (reference, _) =
+            ShardedEngine::open(ShardConfig::new(1, engine_config()), &recog).expect("open");
+        for r in 0..9 {
+            for group in &groups {
+                reference.ingest_batch(group[r].clone(), &recog);
+            }
+        }
+        assert!(reference.live_motifs(&recog).0.days_closed > 0);
+        assert!(reference.live_view(&recog).0.total > 0);
+        for shards in [2, 8] {
+            let (engine, _) =
+                ShardedEngine::open(ShardConfig::new(shards, engine_config()), &recog)
+                    .expect("open");
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let turn = std::sync::Barrier::new(groups.len());
+            std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..2)
+                    .map(|_| {
+                        let (engine, recog, done) = (&engine, &recog, &done);
+                        scope.spawn(move || {
+                            while !done.load(Ordering::Relaxed) {
+                                engine.live_view(recog);
+                                engine.live_motifs(recog);
+                                engine.gauges(recog);
+                            }
+                        })
+                    })
+                    .collect();
+                let writers: Vec<_> = groups
+                    .iter()
+                    .map(|group| {
+                        let (engine, recog, turn) = (&engine, &recog, &turn);
+                        scope.spawn(move || {
+                            for batch in group {
+                                turn.wait();
+                                engine.ingest_batch(batch.clone(), recog);
+                            }
+                        })
+                    })
+                    .collect();
+                let wrote = writers.into_iter().all(|w| w.join().is_ok());
+                done.store(true, Ordering::Relaxed);
+                for reader in readers {
+                    reader.join().expect("reader");
+                }
+                assert!(wrote, "an ingest thread panicked");
+            });
+            assert_eq!(engine.in_flight.load(Ordering::Acquire), 0);
+            assert_eq!(
+                engine.live_view(&recog).0,
+                reference.live_view(&recog).0,
+                "@ {shards}"
+            );
+            assert_eq!(
+                engine.live_motifs(&recog).0,
+                reference.live_motifs(&recog).0,
+                "@ {shards}"
+            );
+            assert_eq!(engine.stats(), reference.stats(), "@ {shards}");
+        }
+    }
+
+    #[test]
+    fn a_read_after_ingest_returns_sees_the_batch() {
+        let recog = recognizer();
+        for shards in [2, 8] {
+            let (engine, _) =
+                ShardedEngine::open(ShardConfig::new(shards, engine_config()), &recog)
+                    .expect("open");
+            let (tx, rx) = std::sync::mpsc::channel::<u64>();
+            std::thread::scope(|scope| {
+                let (engine, recog) = (&engine, &recog);
+                scope.spawn(move || {
+                    for (i, batch) in stream(13, 30).into_iter().enumerate() {
+                        let accepted = engine.ingest_batch(batch, recog).0.accepted;
+                        tx.send(accepted).expect("reader alive");
+                        // Odd batches race the previous read; even ones
+                        // wait for nothing at all.
+                        if i % 2 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+                let mut seen = 0;
+                for accepted in rx {
+                    seen += accepted;
+                    let (view, _) = engine.live_view(recog);
+                    assert!(
+                        view.stays >= seen,
+                        "read missed a returned batch @ {shards}"
+                    );
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn a_read_sequenced_behind_a_queued_batch_waits_for_it() {
+        let recog = recognizer();
+        for shards in [2, 8] {
+            let (engine, _) =
+                ShardedEngine::open(ShardConfig::new(shards, engine_config()), &recog)
+                    .expect("open");
+            let user = (0..)
+                .map(|i| format!("user-{i}"))
+                .find(|u| shard_of(u, shards) == 1)
+                .expect("some user lands on shard 1");
+            // Hold shard 1's thread without its engine lock, so the batch
+            // job queues behind it.
+            let (release, held) = std::sync::mpsc::channel::<()>();
+            let pool = engine.pool.as_ref().expect("pooled");
+            let _blocker = pool.run(1, move || held.recv());
+            std::thread::scope(|scope| {
+                let (engine, recog) = (&engine, &recog);
+                let writer =
+                    scope.spawn(move || engine.ingest_batch(vec![stay(&user, 0.0, 5_000)], recog));
+                while engine.in_flight.load(Ordering::Acquire) == 0 {
+                    std::thread::yield_now();
+                }
+                let reader = scope.spawn(move || engine.live_view(recog).0.stays);
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                release.send(()).expect("blocker alive");
+                assert_eq!(reader.join().expect("reader"), 1, "@ {shards}");
+                writer.join().expect("writer");
+            });
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_job_leaves_nothing_in_flight() {
+        let boom = LocalPoint::new(4_242.0, 0.0);
+        let recog: Recognizer = Arc::new(move |pos: LocalPoint| {
+            assert!(pos != boom, "recognizer failure");
+            Some(Category::Residence)
+        });
+        for shards in [2, 8] {
+            let (engine, _) =
+                ShardedEngine::open(ShardConfig::new(shards, engine_config()), &recog)
+                    .expect("open");
+            engine.ingest_batch(stream(6, 2).concat(), &recog);
+            let bad = vec![stay("user-0", 4_242.0, 50_000), stay("user-1", 0.0, 50_000)];
+            let ingest = std::panic::AssertUnwindSafe(|| engine.ingest_batch(bad, &recog));
+            assert!(
+                std::panic::catch_unwind(ingest).is_err(),
+                "the batch must fail"
+            );
+            assert_eq!(engine.in_flight.load(Ordering::Acquire), 0, "@ {shards}");
+            let (view, _) = engine.live_view(&recog);
+            assert_eq!(view.as_of, Some(50_000));
+            engine.live_motifs(&recog);
+            engine.gauges(&recog);
+            engine.ingest_batch(vec![stay("user-2", 0.0, 60_000)], &recog);
+            assert_eq!(engine.live_view(&recog).0.as_of, Some(60_000));
+        }
     }
 
     #[test]

@@ -4,14 +4,19 @@
 //! lands in period `t.div_euclid(bucket_secs)`, and period `p` occupies ring
 //! slot `p mod n_buckets`. Rotation is *lazy and event-driven*: a slot is
 //! zeroed when an event from a newer period claims it, and stale slots (a
-//! full rotation old because the clock jumped) are excluded at read time by
-//! comparing their stored period against the clock's. There is no wall
-//! clock and no background thread — the same event sequence always yields
-//! the same window, which is what makes replays and tests reproducible.
+//! full rotation old because the clock jumped) are left untouched but no
+//! longer counted. There is no wall clock and no background thread — the
+//! same event sequence always yields the same window, which is what makes
+//! replays and tests reproducible.
 //!
 //! Events older than the window (relative to the *advancing* clock — the
 //! maximum event time seen) are dropped and counted as late, never
 //! retroactively inserted: the window only moves forward.
+//!
+//! Reads cost one pass over the `from → to` cells, not over the ring: the
+//! window keeps a running sum of every in-window slot, adds each record to
+//! it, and subtracts a slot when a clock move ages it out. The sum is
+//! derived state — never persisted, and rebuilt from the ring on restore.
 
 use crate::error::StreamError;
 use pm_core::types::{Category, Timestamp};
@@ -75,6 +80,9 @@ pub struct TransitionWindow {
     buckets: Vec<Vec<u64>>,
     /// The absolute period each slot currently holds.
     periods: Vec<Timestamp>,
+    /// Sum of the slots inside the window at `clock` — what a scan of the
+    /// ring would total. Derived: not persisted, rebuilt by `from_parts`.
+    live: Vec<u64>,
     /// Maximum event time observed — the stream clock.
     clock: Option<Timestamp>,
     late_dropped: u64,
@@ -92,10 +100,44 @@ impl TransitionWindow {
             // i64::MIN doubles as "never written"; slot contents start at
             // zero, so a real period colliding with it is still correct.
             periods: vec![Timestamp::MIN; n],
+            live: vec![0; Category::COUNT * Category::COUNT],
             clock: None,
             late_dropped: 0,
             recorded: 0,
         })
+    }
+
+    /// Whether a slot holding `period` is inside the window when the clock
+    /// is in `clock_period` (no clock: no slot is).
+    fn holds(&self, clock_period: Option<i64>, period: Timestamp) -> bool {
+        let n = self.periods.len() as i64;
+        clock_period.is_some_and(|c| (0..n).contains(&c.saturating_sub(period)))
+    }
+
+    /// Adds `slot`'s counts to the running totals, or takes them out.
+    fn tally(&mut self, slot: usize, add: bool) {
+        for (sum, &c) in self.live.iter_mut().zip(&self.buckets[slot]) {
+            *sum = if add { *sum + c } else { *sum - c };
+        }
+    }
+
+    /// Moves the clock forward to `t` (a no-op when it is already there),
+    /// keeping `live` equal to the sum of the slots inside the window.
+    fn move_clock(&mut self, t: Timestamp) {
+        let b = self.config.bucket_secs;
+        let old = self.clock.map(|c| c.div_euclid(b));
+        let clock = self.clock.map_or(t, |c| c.max(t));
+        self.clock = Some(clock);
+        let new = Some(clock.div_euclid(b));
+        if old == new {
+            return;
+        }
+        for slot in 0..self.periods.len() {
+            let was = self.holds(old, self.periods[slot]);
+            if was != self.holds(new, self.periods[slot]) {
+                self.tally(slot, !was);
+            }
+        }
     }
 
     /// Records one transition at event time `t`. Returns `false` when the
@@ -104,7 +146,7 @@ impl TransitionWindow {
         let b = self.config.bucket_secs;
         let n = self.periods.len() as i64;
         let period = t.div_euclid(b);
-        self.clock = Some(self.clock.map_or(t, |c| c.max(t)));
+        self.move_clock(t);
         let clock_period = self.clock.unwrap_or(t).div_euclid(b);
         if clock_period.saturating_sub(period) >= n {
             self.late_dropped += 1;
@@ -112,11 +154,17 @@ impl TransitionWindow {
         }
         let slot = period.rem_euclid(n) as usize;
         if self.periods[slot] != period {
-            // The slot last held a period at least one full rotation ago.
+            // The slot last held a period at least one full rotation ago,
+            // which is outside the window unless restored state says else.
+            if self.holds(Some(clock_period), self.periods[slot]) {
+                self.tally(slot, false);
+            }
             self.buckets[slot].iter_mut().for_each(|c| *c = 0);
             self.periods[slot] = period;
         }
-        self.buckets[slot][(from as usize) * Category::COUNT + to as usize] += 1;
+        let cell = (from as usize) * Category::COUNT + to as usize;
+        self.buckets[slot][cell] += 1;
+        self.live[cell] += 1;
         self.recorded += 1;
         true
     }
@@ -125,48 +173,46 @@ impl TransitionWindow {
     /// no-op when the clock is already at or past `to`).
     ///
     /// Equivalent to the clock movement a record at time `to` would cause:
-    /// [`TransitionWindow::counts`] excludes slots by *age at read time* and
-    /// [`TransitionWindow::record`] lazily reclaims stale slots, so bumping
-    /// the clock alone is all a pure time advance needs. Sharded engines use
-    /// this to bring untouched shards up to a batch's sealed clock.
+    /// slots leave the window by *age*, and [`TransitionWindow::record`]
+    /// lazily reclaims stale slots, so moving the clock alone is all a pure
+    /// time advance needs. Sharded engines use this to bring untouched
+    /// shards up to a batch's sealed clock.
     pub fn advance(&mut self, to: Timestamp) {
-        self.clock = Some(self.clock.map_or(to, |c| c.max(to)));
+        self.move_clock(to);
     }
 
     /// Non-zero `(from, to, count)` triples currently inside the window,
     /// sorted by `(from, to)` index. Slots stranded by a clock jump are
     /// excluded without being touched.
     pub fn counts(&self) -> Vec<(Category, Category, u64)> {
-        let Some(clock) = self.clock else {
-            return Vec::new();
-        };
-        let clock_period = clock.div_euclid(self.config.bucket_secs);
-        let n = self.periods.len() as i64;
-        let mut totals = vec![0u64; Category::COUNT * Category::COUNT];
-        for (slot, counts) in self.buckets.iter().enumerate() {
-            let age = clock_period.saturating_sub(self.periods[slot]);
-            if !(0..n).contains(&age) {
-                continue;
-            }
-            for (i, &c) in counts.iter().enumerate() {
-                totals[i] += c;
-            }
-        }
         let mut out = Vec::new();
-        for from in 0..Category::COUNT {
-            for to in 0..Category::COUNT {
-                let c = totals[from * Category::COUNT + to];
-                if c > 0 {
-                    out.push((Category::from_index(from), Category::from_index(to), c));
-                }
+        for (i, &c) in self.live.iter().enumerate() {
+            if c > 0 {
+                let (from, to) = (i / Category::COUNT, i % Category::COUNT);
+                out.push((Category::from_index(from), Category::from_index(to), c));
             }
         }
         out
     }
 
+    /// The in-window cell totals, summed from the ring: the slots whose
+    /// age at the clock's period is under one rotation.
+    fn scan_live(&self) -> Vec<u64> {
+        let clock_period = self.clock.map(|c| c.div_euclid(self.config.bucket_secs));
+        let mut totals = vec![0u64; Category::COUNT * Category::COUNT];
+        for (slot, counts) in self.buckets.iter().enumerate() {
+            if self.holds(clock_period, self.periods[slot]) {
+                for (sum, &c) in totals.iter_mut().zip(counts) {
+                    *sum += c;
+                }
+            }
+        }
+        totals
+    }
+
     /// Sum of all in-window counts.
     pub fn total(&self) -> u64 {
-        self.counts().iter().map(|(_, _, c)| c).sum()
+        self.live.iter().sum()
     }
 
     /// The stream clock: the latest event time seen.
@@ -233,14 +279,17 @@ impl TransitionWindow {
                 Category::COUNT * Category::COUNT
             )));
         }
-        Ok(TransitionWindow {
+        let mut window = TransitionWindow {
             config,
             buckets,
             periods,
+            live: Vec::new(),
             clock,
             late_dropped,
             recorded,
-        })
+        };
+        window.live = window.scan_live();
+        Ok(window)
     }
 }
 
@@ -436,6 +485,120 @@ mod tests {
         // Advancing backwards is a no-op.
         by_advance.advance(10);
         assert_eq!(by_advance.as_of(), Some(5_000));
+    }
+
+    /// The read before running totals, verbatim: a scan of every slot
+    /// whose age at the clock's period is under one rotation.
+    fn counts_by_scan(w: &TransitionWindow) -> Vec<(Category, Category, u64)> {
+        let Some(clock) = w.clock else {
+            return Vec::new();
+        };
+        let clock_period = clock.div_euclid(w.config.bucket_secs);
+        let n = w.periods.len() as i64;
+        let mut totals = vec![0u64; Category::COUNT * Category::COUNT];
+        for (slot, counts) in w.buckets.iter().enumerate() {
+            let age = clock_period.saturating_sub(w.periods[slot]);
+            if !(0..n).contains(&age) {
+                continue;
+            }
+            for (i, &c) in counts.iter().enumerate() {
+                totals[i] += c;
+            }
+        }
+        let mut out = Vec::new();
+        for from in 0..Category::COUNT {
+            for to in 0..Category::COUNT {
+                let c = totals[from * Category::COUNT + to];
+                if c > 0 {
+                    out.push((Category::from_index(from), Category::from_index(to), c));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn running_totals_match_the_bucket_scan_after_every_step() {
+        // SplitMix64, so every seed replays the same stream.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        for seed in 0..300u64 {
+            let mut rng = seed;
+            let mut w = tiny();
+            let mut t = (next(&mut rng) % 2_000) as i64 - 1_000;
+            let steps = 60 + next(&mut rng) % 140;
+            let restore_at = next(&mut rng) % steps;
+            for step in 0..steps {
+                let cat = |r: u64| Category::from_index((r % Category::COUNT as u64) as usize);
+                match next(&mut rng) % 10 {
+                    // A same-period burst.
+                    0..=2 => {
+                        for _ in 0..1 + next(&mut rng) % 4 {
+                            w.record(cat(next(&mut rng)), cat(next(&mut rng)), t);
+                        }
+                    }
+                    // A step forward inside the window.
+                    3..=4 => {
+                        t += (next(&mut rng) % 150) as i64;
+                        w.record(cat(next(&mut rng)), cat(next(&mut rng)), t);
+                    }
+                    // A late or in-window event behind the clock.
+                    5..=6 => {
+                        let back = (next(&mut rng) % 700) as i64;
+                        w.record(cat(next(&mut rng)), cat(next(&mut rng)), t - back);
+                    }
+                    // A pure clock advance.
+                    7 => {
+                        t += (next(&mut rng) % 250) as i64;
+                        w.advance(t);
+                    }
+                    // A jump past the whole window, recorded or advanced.
+                    8 => {
+                        t += 400 + (next(&mut rng) % 5_000) as i64;
+                        w.record(cat(next(&mut rng)), cat(next(&mut rng)), t);
+                    }
+                    _ => {
+                        t += 400 + (next(&mut rng) % 5_000) as i64;
+                        w.advance(t);
+                    }
+                }
+                if step == restore_at {
+                    let (buckets, periods, clock, late, recorded) = w.parts();
+                    w = TransitionWindow::from_parts(
+                        w.config,
+                        buckets.to_vec(),
+                        periods.to_vec(),
+                        clock,
+                        late,
+                        recorded,
+                    )
+                    .expect("round trip");
+                }
+                let scan = counts_by_scan(&w);
+                assert_eq!(w.counts(), scan, "seed {seed} step {step}");
+                assert_eq!(w.total(), scan.iter().map(|(_, _, c)| c).sum::<u64>());
+            }
+        }
+        // Restored state the ring never produces itself: slot 0 holds the
+        // in-window period 2, and slot 1 a period ahead of the clock.
+        let cells = Category::COUNT * Category::COUNT;
+        let mut buckets = vec![vec![0; cells]; 4];
+        buckets[0][1] = 3;
+        buckets[1][2] = 5;
+        let periods = vec![2, 6, Timestamp::MIN, Timestamp::MIN];
+        let mut w = TransitionWindow::from_parts(tiny().config, buckets, periods, Some(350), 0, 8)
+            .expect("shape is valid");
+        assert_eq!(w.counts(), counts_by_scan(&w));
+        w.record(R, B, 420); // period 4 reclaims slot 0 while period 2 is in-window
+        assert_eq!(w.counts(), counts_by_scan(&w));
+        w.advance(650); // period 6 comes into range
+        assert_eq!(w.counts(), counts_by_scan(&w));
+        assert_eq!(w.total(), 6);
     }
 
     #[test]

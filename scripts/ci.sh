@@ -159,7 +159,8 @@ if [ "$have_baseline" = 1 ]; then
     fi
 fi
 
-# Serve smoke: loopback request latencies, recorded in the same report.
+# Serve smoke: keep-alive round trips per endpoint of the perfbench read
+# mix (plus /healthz), recorded in the same report.
 echo "==> cargo bench -p pm-bench --bench serve_latency (PM_BENCH_SMOKE=1)"
 PM_BENCH_SMOKE=1 PM_BENCH_OUT="$workspace/BENCH_pipeline.json" \
     cargo bench -p pm-bench --bench serve_latency
@@ -240,6 +241,8 @@ if [ "$have_baseline" = 1 ]; then
             "recognize|stages recognize median_ms|ms|lower" \
             "extract|stages extract median_ms|ms|lower" \
             "serve /v1/patterns|serve patterns median_ms|ms|lower" \
+            "serve /v1/users/:id/similar|serve user_similar median_ms|ms|lower" \
+            "serve /v1/live/patterns|serve live_patterns median_ms|ms|lower" \
             "ingest|ingest - fixes_per_sec|fixes/s|higher" \
             "motif mining|motifs - build_ms|ms|lower" \
             "cohort clustering|cohorts - cluster_ms|ms|lower" \
