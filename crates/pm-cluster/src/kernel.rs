@@ -56,11 +56,6 @@ impl GaussianKernel {
     }
 }
 
-/// Convenience free function: Eq. 2 at distance `d` for cut-off `r3sigma`.
-pub fn gaussian_coeff(d: f64, r3sigma: f64) -> f64 {
-    GaussianKernel::new(r3sigma).coeff_at(d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,14 +102,6 @@ mod tests {
         let a = LocalPoint::new(0.0, 0.0);
         let b = LocalPoint::new(30.0, 40.0);
         assert_eq!(k.coeff(a, b), k.coeff_at(50.0));
-    }
-
-    #[test]
-    fn free_function_agrees() {
-        assert_eq!(
-            gaussian_coeff(42.0, 100.0),
-            GaussianKernel::new(100.0).coeff_at(42.0)
-        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub(crate) mod neighborhoods;
 pub mod optics;
 
 pub use dbscan::{dbscan, DbscanParams};
-pub use kernel::{gaussian_coeff, GaussianKernel};
+pub use kernel::GaussianKernel;
 pub use meanshift::{mean_shift, MeanShiftParams, MeanShiftResult};
 pub use ndim::{
     kmeans_nd, mean_shift_nd, KMeansNdParams, KMeansNdResult, MeanShiftNdParams, MeanShiftNdResult,

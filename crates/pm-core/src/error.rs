@@ -219,15 +219,6 @@ pub fn record_degradations(obs: &pm_obs::Obs, events: &[Degradation]) {
     }
 }
 
-/// Renders a degradation list as one summary line (empty string when clean).
-pub fn summarize_degradations(events: &[Degradation]) -> String {
-    events
-        .iter()
-        .map(|e| e.to_string())
-        .collect::<Vec<_>>()
-        .join("; ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,15 +246,13 @@ mod tests {
 
     #[test]
     fn degradation_counts_and_summary() {
-        let events = vec![
+        let events = [
             Degradation::NonFinitePois { dropped: 3 },
             Degradation::UnsplitCluster { members: 7 },
         ];
         assert_eq!(events[0].count(), 3);
         assert_eq!(events[1].count(), 7);
-        let s = summarize_degradations(&events);
-        assert!(s.contains("3 POI(s)"));
-        assert!(s.contains("7-POI cluster"));
-        assert!(summarize_degradations(&[]).is_empty());
+        assert!(events[0].to_string().contains("3 POI(s)"));
+        assert!(events[1].to_string().contains("7-POI cluster"));
     }
 }

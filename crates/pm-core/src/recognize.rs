@@ -89,12 +89,6 @@ pub fn collapse_window(window: &[GpsPoint]) -> StayPoint {
     StayPoint::untagged(sum / n as f64, (t_sum / n as i128) as i64)
 }
 
-/// Converts a GPS trajectory into an (untagged) semantic trajectory — the
-/// `SemanticTrajectory` function invoked in Algorithm 3 line 3.
-pub fn semantic_trajectory(traj: &GpsTrajectory, params: &MinerParams) -> SemanticTrajectory {
-    SemanticTrajectory::new(detect_stay_points(traj, params))
-}
-
 /// Definition 5 over a whole corpus: stay-point detection of every raw
 /// trajectory, fanned out over `params.threads` workers (each journey is
 /// independent, so workers fill disjoint output slots and the result is
@@ -129,8 +123,10 @@ pub fn detect_all_stay_points_observed(
     out
 }
 
-/// Batch form of [`semantic_trajectory`]: Definition 5 across the corpus on
-/// `params.threads` workers, discarding degradation events.
+/// Converts GPS trajectories into (untagged) semantic trajectories — the
+/// `SemanticTrajectory` function invoked in Algorithm 3 line 3, applied
+/// across the corpus on `params.threads` workers (Definition 5), discarding
+/// degradation events.
 pub fn semantic_trajectories_of(
     trajectories: &[GpsTrajectory],
     params: &MinerParams,

@@ -386,16 +386,6 @@ impl SemanticTrajectory {
     pub fn is_empty(&self) -> bool {
         self.stays.is_empty()
     }
-
-    /// The category-id sequence of this trajectory, for sequence mining.
-    /// Multi-tag stay points contribute their lowest category id; untagged
-    /// ones are skipped.
-    pub fn category_sequence(&self) -> Vec<u32> {
-        self.stays
-            .iter()
-            .filter_map(|sp| sp.primary_category().map(|c| c as u32))
-            .collect()
-    }
 }
 
 /// Time-of-week buckets used by the demonstration (Fig. 14).
@@ -522,19 +512,6 @@ mod tests {
         let b = Tags::only(Category::Shop);
         // |A∩B| = 1, |A| = 2, |B| = 1 -> 1/sqrt(2)
         assert!((a.cosine(b) - 1.0 / 2.0f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn category_sequence_skips_untagged() {
-        let st = SemanticTrajectory::new(vec![
-            StayPoint::new(LocalPoint::ORIGIN, 0, Tags::only(Category::Residence)),
-            StayPoint::untagged(LocalPoint::ORIGIN, 10),
-            StayPoint::new(LocalPoint::ORIGIN, 20, Tags::only(Category::Business)),
-        ]);
-        assert_eq!(
-            st.category_sequence(),
-            vec![Category::Residence as u32, Category::Business as u32]
-        );
     }
 
     #[test]

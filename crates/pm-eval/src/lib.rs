@@ -12,7 +12,6 @@
 //!   check-in bias), Table 1 and Table 3.
 //! - [`report`]: plain-text table rendering shared by benches and examples.
 //! - [`export`]: CSV writers for external plotting.
-//! - [`geojson`]: pattern export for map rendering (Fig. 14's medium).
 //! - [`svg`]: standalone SVG maps of the diagram and patterns (Fig. 6's
 //!   medium), no plotting stack required.
 //! - [`accuracy`]: recognition scoring against generator ground truth
@@ -23,7 +22,6 @@ pub mod accuracy;
 pub mod dataset;
 pub mod export;
 pub mod figures;
-pub mod geojson;
 pub mod pipeline;
 pub mod report;
 pub mod svg;

@@ -11,8 +11,7 @@
 //!   `range(p, eps, P)` queries that dominate CSD construction and semantic
 //!   recognition.
 //! - [`KdTree`]: k-nearest-neighbour queries (used by baselines and tests).
-//! - [`RTree`]: STR-packed rectangle/circle queries for skewed densities.
-//! - [`polyline`]: trajectory geometry — length, resampling, simplification.
+//! - [`polyline`]: trajectory geometry — length and arc-length interpolation.
 //! - [`stats`]: centroid, spatial variance (paper Eq. 1), group density
 //!   `Den(S)` (Definition 11) and mean pairwise distance (spatial sparsity,
 //!   Eq. 9).
@@ -27,7 +26,6 @@ pub mod kdtree;
 pub mod point;
 pub mod polyline;
 pub mod projection;
-pub mod rtree;
 pub mod soa;
 pub mod stats;
 
@@ -37,6 +35,5 @@ pub use grid::GridIndex;
 pub use kdtree::KdTree;
 pub use point::{GeoPoint, LocalPoint};
 pub use projection::Projection;
-pub use rtree::RTree;
 pub use soa::SoaPoints;
 pub use stats::{centroid, den, mean_pairwise_distance, spatial_variance};

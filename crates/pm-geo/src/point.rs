@@ -74,11 +74,6 @@ impl LocalPoint {
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
-
-    /// Squared Euclidean norm (distance to the origin).
-    pub fn norm_sq(&self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
 }
 
 impl Add for LocalPoint {

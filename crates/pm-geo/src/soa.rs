@@ -19,14 +19,6 @@ pub struct SoaPoints {
 }
 
 impl SoaPoints {
-    /// Builds the columnar copy of `points`.
-    pub fn from_points(points: &[LocalPoint]) -> Self {
-        Self {
-            xs: points.iter().map(|p| p.x).collect(),
-            ys: points.iter().map(|p| p.y).collect(),
-        }
-    }
-
     /// Re-fills the columns from `points`, reusing the existing allocations.
     pub fn refill(&mut self, points: &[LocalPoint]) {
         self.xs.clear();
@@ -48,15 +40,6 @@ impl SoaPoints {
     /// The stored point at `i`.
     pub fn get(&self, i: usize) -> LocalPoint {
         LocalPoint::new(self.xs[i], self.ys[i])
-    }
-
-    /// Squared distance from stored point `i` to `p`, in square meters.
-    ///
-    /// Bit-identical to `self.get(i).distance_sq(&p)`.
-    pub fn dist_sq_to(&self, i: usize, p: LocalPoint) -> f64 {
-        let dx = self.xs[i] - p.x;
-        let dy = self.ys[i] - p.y;
-        dx * dx + dy * dy
     }
 
     /// Squared distances from `center` to every stored point listed in
@@ -125,15 +108,21 @@ impl SoaPoints {
 mod tests {
     use super::*;
 
+    fn soa_of(points: &[LocalPoint]) -> SoaPoints {
+        let mut soa = SoaPoints::default();
+        soa.refill(points);
+        soa
+    }
+
     #[test]
     fn round_trips_points() {
         let pts = vec![LocalPoint::new(1.5, -2.0), LocalPoint::new(0.0, 7.25)];
-        let soa = SoaPoints::from_points(&pts);
+        let soa = soa_of(&pts);
         assert_eq!(soa.len(), 2);
         assert!(!soa.is_empty());
         assert_eq!(soa.get(0), pts[0]);
         assert_eq!(soa.get(1), pts[1]);
-        assert!(SoaPoints::from_points(&[]).is_empty());
+        assert!(soa_of(&[]).is_empty());
     }
 
     #[test]
@@ -141,14 +130,8 @@ mod tests {
         let pts: Vec<LocalPoint> = (0..50)
             .map(|i| LocalPoint::new((i as f64 * 0.37).sin() * 1e4, (i as f64 * 1.13).cos() * 1e4))
             .collect();
-        let soa = SoaPoints::from_points(&pts);
+        let soa = soa_of(&pts);
         let center = LocalPoint::new(123.456, -789.1);
-        for (i, p) in pts.iter().enumerate() {
-            assert_eq!(
-                soa.dist_sq_to(i, center).to_bits(),
-                p.distance_sq(&center).to_bits()
-            );
-        }
         let idxs: Vec<usize> = (0..pts.len()).rev().collect();
         let mut out = vec![f64::NAN; 3]; // stale content must be cleared
         soa.dist_sq_many(center, &idxs, &mut out);
@@ -179,13 +162,13 @@ mod tests {
             LocalPoint::new(12.5, -1.0),
             LocalPoint::new(4.0, 2.0),
         ];
-        let soa = SoaPoints::from_points(&pts);
+        let soa = soa_of(&pts);
         assert_eq!(soa.bbox(), Some((-3.0, -1.0, 12.5, 8.0)));
     }
 
     #[test]
     fn refill_reuses_capacity() {
-        let mut soa = SoaPoints::from_points(&[LocalPoint::ORIGIN; 64]);
+        let mut soa = soa_of(&[LocalPoint::ORIGIN; 64]);
         let cap = 64;
         soa.refill(&[LocalPoint::new(2.0, 3.0); 8]);
         assert_eq!(soa.len(), 8);

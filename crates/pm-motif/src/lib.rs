@@ -209,11 +209,6 @@ impl DayGraphBuilder {
         self.visits == 0
     }
 
-    /// Whether the day exceeded the node cap.
-    pub fn is_oversize(&self) -> bool {
-        self.oversize
-    }
-
     /// Persistence view: `(keys, categories, adj, last, visits, oversize)`
     /// — everything [`DayGraphBuilder::from_parts`] needs to rebuild the
     /// in-progress day exactly.
@@ -510,7 +505,7 @@ mod tests {
         for k in 0..=MAX_NODES as u64 {
             day.visit(k, None);
         }
-        assert!(day.is_oversize());
+        assert!(day.parts().5);
         assert_eq!(day.finish().form, None);
     }
 
@@ -522,7 +517,7 @@ mod tests {
                 day.visit(k, None);
             }
         }
-        assert!(!day.is_oversize());
+        assert!(!day.parts().5);
         let form = day.finish().form.unwrap();
         assert_eq!(form_nodes(form), MAX_NODES as u8);
     }

@@ -8,8 +8,10 @@
 //!   call site, so library callers that never ask for a report pay nothing.
 //! - [`Obs::span`] opens a monotonic RAII timer. Spans are nestable (guards
 //!   may be opened inside other guards, on any thread) and worker-aware:
-//!   each record notes the [`pm_runtime`] worker id it ran on, so a report
-//!   shows how many workers a stage actually fanned out over.
+//!   a closing span folds into its name's running aggregate (calls, total,
+//!   min, max, and the distinct [`pm_runtime`] worker ids it ran on), so a
+//!   report shows how many workers a stage fanned out over while memory
+//!   stays one entry per span name, however long the process runs.
 //! - [`Obs::incr`] / [`Obs::gauge`] maintain named counters and gauges.
 //!   Counters are monotone sums, so their totals are independent of worker
 //!   scheduling — observability never breaks the §9 determinism contract.
@@ -58,23 +60,46 @@ pub mod report;
 
 pub use report::{RunReport, StageReport};
 
-/// One finished span: a named, timed section of work.
-#[derive(Debug, Clone)]
-struct SpanRecord {
-    name: &'static str,
-    nanos: u128,
-    /// `pm_runtime` worker id the span closed on (`None` = the calling
-    /// thread outside any parallel region).
-    worker: Option<usize>,
+/// Running totals of every closed span sharing one name.
+#[derive(Debug)]
+struct SpanAgg {
+    calls: u64,
+    total: u128,
+    min: u128,
+    max: u128,
+    /// Distinct `pm_runtime` worker ids the spans closed on (`None` = the
+    /// calling thread outside any parallel region).
+    workers: Vec<Option<usize>>,
 }
 
 #[derive(Debug)]
 struct Inner {
     started: Instant,
     threads: AtomicUsize,
-    spans: Mutex<Vec<SpanRecord>>,
+    spans: Mutex<BTreeMap<&'static str, SpanAgg>>,
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
+}
+
+impl Inner {
+    /// Folds one closed span into its name's aggregate.
+    fn record(&self, name: &'static str, nanos: u128, worker: Option<usize>) {
+        let mut spans = lock(&self.spans);
+        let agg = spans.entry(name).or_insert_with(|| SpanAgg {
+            calls: 0,
+            total: 0,
+            min: nanos,
+            max: nanos,
+            workers: Vec::new(),
+        });
+        agg.calls += 1;
+        agg.total += nanos;
+        agg.min = agg.min.min(nanos);
+        agg.max = agg.max.max(nanos);
+        if !agg.workers.contains(&worker) {
+            agg.workers.push(worker);
+        }
+    }
 }
 
 /// Recovers the data from a poisoned lock: observability must never turn a
@@ -101,7 +126,7 @@ impl Obs {
             inner: Some(Arc::new(Inner {
                 started: Instant::now(),
                 threads: AtomicUsize::new(1),
-                spans: Mutex::new(Vec::new()),
+                spans: Mutex::new(BTreeMap::new()),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
             })),
@@ -176,10 +201,22 @@ impl Obs {
         };
         let wall_ms = inner.started.elapsed().as_nanos() as f64 / 1e6;
         let threads = inner.threads.load(Ordering::Relaxed);
-        let spans = lock(&inner.spans).clone();
+        // BTreeMap order keeps the stage list sorted, so the serialized
+        // report is stable run to run.
+        let stages = lock(&inner.spans)
+            .iter()
+            .map(|(name, a)| StageReport {
+                name: name.to_string(),
+                calls: a.calls,
+                total_ms: a.total as f64 / 1e6,
+                min_ms: a.min as f64 / 1e6,
+                max_ms: a.max as f64 / 1e6,
+                workers: a.workers.len() as u64,
+            })
+            .collect();
         let counters = lock(&inner.counters).clone();
         let gauges = lock(&inner.gauges).clone();
-        RunReport::assemble(wall_ms, threads, &spans, counters, gauges)
+        RunReport::assemble(wall_ms, threads, stages, counters, gauges)
     }
 }
 
@@ -197,12 +234,11 @@ impl Span<'_> {
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some((inner, name, start)) = self.state.take() {
-            let nanos = start.elapsed().as_nanos();
-            lock(&inner.spans).push(SpanRecord {
+            inner.record(
                 name,
-                nanos,
-                worker: pm_runtime::current_worker(),
-            });
+                start.elapsed().as_nanos(),
+                pm_runtime::current_worker(),
+            );
         }
     }
 }
@@ -211,46 +247,10 @@ impl RunReport {
     pub(crate) fn assemble(
         wall_ms: f64,
         threads: usize,
-        spans: &[SpanRecord],
+        stages: Vec<StageReport>,
         counters: BTreeMap<String, u64>,
         gauges: BTreeMap<String, f64>,
     ) -> RunReport {
-        // Aggregate spans by name; BTreeMap keeps the stage list sorted, so
-        // the serialized report is stable run to run.
-        #[derive(Default)]
-        struct Agg {
-            calls: u64,
-            total: u128,
-            min: u128,
-            max: u128,
-            workers: Vec<Option<usize>>,
-        }
-        let mut by_name: BTreeMap<&'static str, Agg> = BTreeMap::new();
-        for s in spans {
-            let agg = by_name.entry(s.name).or_default();
-            if agg.calls == 0 {
-                agg.min = s.nanos;
-            }
-            agg.calls += 1;
-            agg.total += s.nanos;
-            agg.min = agg.min.min(s.nanos);
-            agg.max = agg.max.max(s.nanos);
-            if !agg.workers.contains(&s.worker) {
-                agg.workers.push(s.worker);
-            }
-        }
-        let stages = by_name
-            .into_iter()
-            .map(|(name, a)| StageReport {
-                name: name.to_string(),
-                calls: a.calls,
-                total_ms: a.total as f64 / 1e6,
-                min_ms: a.min as f64 / 1e6,
-                max_ms: a.max as f64 / 1e6,
-                workers: a.workers.len() as u64,
-            })
-            .collect();
-
         // Lift the special-cased counter prefixes into their own sections.
         let mut plain = BTreeMap::new();
         let mut degradations = BTreeMap::new();
@@ -315,6 +315,58 @@ mod tests {
         assert!(a.total_ms >= a.max_ms && a.max_ms >= a.min_ms);
         let b = r.stages.iter().find(|s| s.name == "stage.b").unwrap();
         assert_eq!(b.calls, 1);
+    }
+
+    #[test]
+    fn folded_spans_match_a_brute_force_aggregation() {
+        // Seeded xorshift triples folded one by one must report exactly what
+        // aggregating the whole list at once gives.
+        const NAMES: [&str; 5] = ["a.x", "b.y", "c.z", "d.w", "e.v"];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let triples: Vec<(&'static str, u128, Option<usize>)> = (0..2_000)
+            .map(|_| {
+                let name = NAMES[(next() % NAMES.len() as u64) as usize];
+                let nanos = u128::from(next() % 5_000_000);
+                let worker = match next() % 6 {
+                    0 => None,
+                    w => Some(w as usize - 1),
+                };
+                (name, nanos, worker)
+            })
+            .collect();
+        let obs = Obs::enabled();
+        let inner = obs.inner.as_deref().expect("enabled");
+        for &(name, nanos, worker) in &triples {
+            inner.record(name, nanos, worker);
+        }
+
+        let mut names: Vec<&str> = triples.iter().map(|t| t.0).collect();
+        names.sort_unstable();
+        names.dedup();
+        let want: Vec<StageReport> = names
+            .iter()
+            .map(|&name| {
+                let of: Vec<_> = triples.iter().filter(|t| t.0 == name).collect();
+                let mut workers: Vec<Option<usize>> = of.iter().map(|t| t.2).collect();
+                workers.sort_unstable();
+                workers.dedup();
+                StageReport {
+                    name: name.to_string(),
+                    calls: of.len() as u64,
+                    total_ms: of.iter().map(|t| t.1).sum::<u128>() as f64 / 1e6,
+                    min_ms: of.iter().map(|t| t.1).min().expect("non-empty") as f64 / 1e6,
+                    max_ms: of.iter().map(|t| t.1).max().expect("non-empty") as f64 / 1e6,
+                    workers: workers.len() as u64,
+                }
+            })
+            .collect();
+        assert_eq!(obs.report().stages, want);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //!
 //! - [`par_map`] / [`par_map_range`] / [`par_map_in_place`]: chunked
 //!   fork–join maps over a slice (or index range), each worker writing into
-//!   **pre-sized output slots**;
-//! - [`par_map_reduce`]: a parallel map whose results are folded **serially
-//!   in index order**.
+//!   **pre-sized output slots**.
 //! - [`WorkerPool`]: a fixed pool of long-lived workers over a **bounded**
 //!   job queue, for online services that must shed load instead of queueing
 //!   without bound (see [`pool`]).
@@ -24,11 +22,11 @@
 //! Every function here is *bit-deterministic in the thread count*: the value
 //! written to output slot `i` depends only on input `i` and the caller's
 //! closure, never on scheduling, chunk boundaries, or how many workers ran.
-//! Reductions never happen tree-wise across workers — [`par_map_reduce`]
-//! folds the per-item results left-to-right after the join — so float
-//! accumulation order (and therefore every rounded bit) is identical for
-//! `threads = 1` and `threads = N`. Serial execution is simply the
-//! degenerate single-chunk case of the same code path.
+//! Reductions never happen tree-wise across workers: callers fold the
+//! returned slots left-to-right after the join, so float accumulation
+//! order (and therefore every rounded bit) is identical for `threads = 1`
+//! and `threads = N`. Serial execution is simply the degenerate
+//! single-chunk case of the same code path.
 //!
 //! # Thread-count resolution
 //!
@@ -298,23 +296,6 @@ where
         .collect()
 }
 
-/// Parallel map + **serial, index-ordered** fold.
-///
-/// The map runs under [`par_map`]; the fold then consumes the results
-/// left-to-right on the calling thread. This deliberately forgoes tree
-/// reduction: for floating-point accumulators the fold order *is* the
-/// result, and fixing it to index order is what keeps serial and parallel
-/// runs byte-identical.
-pub fn par_map_reduce<T, R, A, F, G>(items: &[T], threads: usize, f: F, init: A, fold: G) -> A
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    G: FnMut(A, R) -> A,
-{
-    par_map(items, threads, f).into_iter().fold(init, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,20 +385,6 @@ mod tests {
         });
         assert_eq!(a, b);
         assert_eq!(ra, rb);
-    }
-
-    #[test]
-    fn float_reduction_is_bit_identical_across_thread_counts() {
-        // A sum whose value depends on accumulation order in general: the
-        // index-ordered fold must make every thread count agree bitwise.
-        let items: Vec<f64> = (0..10_000)
-            .map(|i| (i as f64 * 0.7).sin() * 1e10 + 1e-10 / (i + 1) as f64)
-            .collect();
-        let reference = par_map_reduce(&items, 1, |x| x * 1.000000119, 0.0f64, |a, r| a + r);
-        for threads in [2, 3, 4, 13] {
-            let sum = par_map_reduce(&items, threads, |x| x * 1.000000119, 0.0f64, |a, r| a + r);
-            assert_eq!(sum.to_bits(), reference.to_bits(), "threads = {threads}");
-        }
     }
 
     #[test]

@@ -95,13 +95,6 @@ impl ShardPool {
             .expect("shard worker thread is alive while the pool exists");
         rx
     }
-
-    /// Runs a no-op on `shard` and waits for it: every job submitted to that
-    /// shard before this call has finished when `barrier` returns.
-    pub fn barrier(&self, shard: usize) {
-        let done = self.run(shard, || ());
-        done.recv().expect("barrier job never panics");
-    }
 }
 
 impl Drop for ShardPool {
@@ -117,7 +110,6 @@ impl Drop for ShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -150,20 +142,5 @@ mod tests {
         assert!(rx.recv().is_err(), "panic surfaces as disconnection");
         let ok = pool.run(0, || 7);
         assert_eq!(ok.recv().expect("shard survived"), 7);
-    }
-
-    #[test]
-    fn barrier_waits_for_prior_jobs() {
-        let pool = ShardPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..20 {
-            let hits = Arc::clone(&hits);
-            pool.run(0, move || {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.barrier(0);
-        assert_eq!(hits.load(Ordering::SeqCst), 20);
     }
 }

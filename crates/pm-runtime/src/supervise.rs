@@ -97,7 +97,8 @@ pub enum CircuitState {
 }
 
 /// A consecutive-failure circuit breaker. The caller reports outcomes and
-/// cooldown expiry; the breaker answers "should work be attempted?".
+/// cooldown expiry; its [`state`](CircuitBreaker::state) answers "should
+/// work be attempted?" (anything but `Open`).
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     threshold: u32,
@@ -121,11 +122,6 @@ impl CircuitBreaker {
     /// The current state.
     pub fn state(&self) -> CircuitState {
         self.state
-    }
-
-    /// Whether the caller should attempt work right now.
-    pub fn allows_attempt(&self) -> bool {
-        self.state != CircuitState::Open
     }
 
     /// Consecutive failures since the last success.
@@ -240,9 +236,9 @@ mod tests {
         let mut cb = CircuitBreaker::new(3);
         assert_eq!(cb.record_failure(), CircuitState::Closed);
         assert_eq!(cb.record_failure(), CircuitState::Closed);
-        assert!(cb.allows_attempt());
+        assert_eq!(cb.state(), CircuitState::Closed);
         assert_eq!(cb.record_failure(), CircuitState::Open);
-        assert!(!cb.allows_attempt());
+        assert_eq!(cb.state(), CircuitState::Open);
         assert_eq!(cb.opens(), 1);
         assert_eq!(cb.consecutive_failures(), 3);
     }
@@ -254,7 +250,6 @@ mod tests {
         assert_eq!(cb.state(), CircuitState::Open);
         cb.cooldown_elapsed();
         assert_eq!(cb.state(), CircuitState::HalfOpen);
-        assert!(cb.allows_attempt());
         // Failed probe: straight back to Open, a second open counted.
         assert_eq!(cb.record_failure(), CircuitState::Open);
         assert_eq!(cb.opens(), 2);

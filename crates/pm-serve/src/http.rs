@@ -213,24 +213,15 @@ pub fn status_text(status: u16) -> &'static str {
 
 /// Writes a complete response with a JSON body. `close` selects the
 /// `Connection` header — and the caller must actually close afterwards
-/// when it says so, since the client will stop reading.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    body: &str,
-    close: bool,
-) -> std::io::Result<()> {
-    write_response_with(stream, status, body, close, None)
-}
-
-/// [`write_response`] with an optional `Retry-After` header (seconds) — the
-/// server attaches it to overload answers (`429`/`503`) so well-behaved
-/// clients back off by the server's clock instead of guessing.
+/// when it says so, since the client will stop reading. `retry_after`
+/// adds a `Retry-After` header (seconds): the server attaches it to
+/// overload answers (`429`/`503`) so well-behaved clients back off by the
+/// server's clock instead of guessing.
 ///
 /// Head and body leave in one `write`, as one segment: the server sets
 /// `TCP_NODELAY`, so a head-then-body pair would cost two syscalls and two
 /// segments per response (the client sends requests the same way).
-pub fn write_response_with(
+pub fn write_response(
     stream: &mut impl Write,
     status: u16,
     body: &str,
@@ -303,7 +294,7 @@ mod tests {
     #[test]
     fn response_has_content_length() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "{\"ok\":true}", true).unwrap();
+        write_response(&mut out, 200, "{\"ok\":true}", true, None).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
@@ -311,7 +302,7 @@ mod tests {
         assert!(text.ends_with("{\"ok\":true}"));
 
         let mut out = Vec::new();
-        write_response(&mut out, 200, "{}", false).unwrap();
+        write_response(&mut out, 200, "{}", false, None).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"));
     }
@@ -319,13 +310,13 @@ mod tests {
     #[test]
     fn retry_after_header_only_when_asked() {
         let mut out = Vec::new();
-        write_response_with(&mut out, 429, "{}", true, Some(3)).unwrap();
+        write_response(&mut out, 429, "{}", true, Some(3)).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Retry-After: 3\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{}"), "{text}");
 
         let mut out = Vec::new();
-        write_response_with(&mut out, 200, "{}", false, None).unwrap();
+        write_response(&mut out, 200, "{}", false, None).unwrap();
         assert!(!String::from_utf8(out).unwrap().contains("Retry-After"));
     }
 
@@ -354,7 +345,7 @@ mod tests {
             let body = "x".repeat(len);
             for (status, close, retry_after) in [(200, false, None), (429, true, Some(3))] {
                 let mut out = CountingWriter::default();
-                write_response_with(&mut out, status, &body, close, retry_after).unwrap();
+                write_response(&mut out, status, &body, close, retry_after).unwrap();
                 assert_eq!(out.writes, 1, "{len}-byte body, retry {retry_after:?}");
                 // The head-then-body bytes the writer always produced.
                 let mut head = format!(

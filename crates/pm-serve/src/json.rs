@@ -309,21 +309,10 @@ impl<'a> Cursor<'a> {
 // Response composition helpers
 // ---------------------------------------------------------------------------
 
-/// Renders a JSON string literal (quotes included) into `out`.
-pub fn push_str_lit(out: &mut String, s: &str) {
-    pm_obs::json::write_str(out, s);
-}
-
-/// Renders an `f64` into `out` exactly as every other workspace JSON
-/// emitter does.
-pub fn push_num(out: &mut String, v: f64) {
-    pm_obs::json::write_number(out, v);
-}
-
 /// A `{"error": ...}` body.
 pub fn error_body(message: &str) -> String {
     let mut out = String::from("{\"error\":");
-    push_str_lit(&mut out, message);
+    pm_obs::json::write_str(&mut out, message);
     out.push('}');
     out
 }

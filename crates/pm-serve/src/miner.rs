@@ -224,7 +224,7 @@ impl MinerStatus {
         out.push_str(&format!(",\"last_stays\":{}", self.last_stays));
         out.push_str(",\"last_error\":");
         match &self.last_error {
-            Some(e) => crate::json::push_str_lit(&mut out, e),
+            Some(e) => pm_obs::json::write_str(&mut out, e),
             None => out.push_str("null"),
         }
         out.push_str(&format!(",\"next_delay_ms\":{}}}", self.next_delay_ms));

@@ -277,7 +277,7 @@ impl Server {
                 self.obs.incr("serve.shed", 1);
                 if let Ok(mut s) = shed_handle {
                     let _ = s.set_write_timeout(Some(self.config.write_timeout));
-                    let _ = http::write_response_with(
+                    let _ = http::write_response(
                         &mut s,
                         503,
                         &error_body("server busy"),
@@ -337,7 +337,7 @@ fn handle_connection(stream: TcpStream, state: &ServeState, obs: &Obs, config: &
         let close = client_close || status >= 400 || served >= config.max_requests_per_conn;
         // Overload answers tell the client when to come back.
         let retry_after = matches!(status, 429 | 503).then_some(config.retry_after_secs);
-        let written = http::write_response_with(&mut write_half, status, &body, close, retry_after);
+        let written = http::write_response(&mut write_half, status, &body, close, retry_after);
         span.finish();
         if close || written.is_err() {
             break;

@@ -7,7 +7,7 @@
 //! snapshot returns directly, so there is exactly one source of truth for
 //! response content.
 
-use crate::json::{self, Json};
+use crate::json::Json;
 use pm_cluster::GaussianKernel;
 use pm_cohort::{Cohort, CohortIndex, CohortTable, SimilarScope, UserRecord};
 use pm_core::query::PatternQuery;
@@ -16,6 +16,7 @@ use pm_core::types::{Category, GpsPoint, GpsTrajectory, StayPoint, Tags, WeekBuc
 use pm_geo::{GeoPoint, LocalPoint, Projection};
 use pm_io::parse_category;
 use pm_motif::{MotifClass, MAX_NODES};
+use pm_obs::json::{write_number, write_str};
 use pm_store::Artifact;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -329,7 +330,7 @@ impl Snapshot {
                 if k > 0 {
                     out.push(',');
                 }
-                json::push_str_lit(&mut out, c.name());
+                write_str(&mut out, c.name());
             }
             let _ = write!(
                 out,
@@ -446,7 +447,7 @@ impl Snapshot {
         let idx = table.find_user(user).ok_or(CohortLookup::UnknownUser)?;
         let record = &table.users[idx];
         let mut out = String::from("{\"user\":");
-        json::push_str_lit(&mut out, &record.user);
+        write_str(&mut out, &record.user);
         let _ = write!(
             out,
             ",\"stays\":{},\"active_days\":{},\"transitions\":{},\"categories\":",
@@ -485,7 +486,7 @@ impl Snapshot {
         let neighbors = table.k_nearest(index, idx, query.k, query.scope);
 
         let mut out = String::from("{\"user\":");
-        json::push_str_lit(&mut out, user);
+        write_str(&mut out, user);
         let _ = write!(
             out,
             ",\"k\":{},\"scope\":\"{}\",\"returned\":{},\"neighbors\":[",
@@ -504,9 +505,9 @@ impl Snapshot {
                 out.push(',');
             }
             out.push_str("{\"user\":");
-            json::push_str_lit(&mut out, &record.user);
+            write_str(&mut out, &record.user);
             out.push_str(",\"similarity\":");
-            json::push_num(&mut out, n.similarity);
+            write_number(&mut out, n.similarity);
             out.push('}');
             sim_sum += n.similarity;
             for (slot, &v) in visits.iter_mut().zip(&record.category_visits) {
@@ -520,7 +521,7 @@ impl Snapshot {
         } else {
             let mean = sim_sum / neighbors.len() as f64;
             let _ = write!(out, "{{\"size\":{},\"mean_similarity\":", neighbors.len());
-            json::push_num(&mut out, mean);
+            write_number(&mut out, mean);
             out.push_str(",\"categories\":");
             push_category_counts(&mut out, &visits);
             out.push('}');
@@ -536,15 +537,15 @@ impl Snapshot {
     /// geo-anchored.
     fn push_point(&self, out: &mut String, pos: LocalPoint) {
         out.push_str("{\"x\":");
-        json::push_num(out, pos.x);
+        write_number(out, pos.x);
         out.push_str(",\"y\":");
-        json::push_num(out, pos.y);
+        write_number(out, pos.y);
         if let Some(projection) = &self.projection {
             let geo = projection.to_geo(pos);
             out.push_str(",\"lon\":");
-            json::push_num(out, geo.lon);
+            write_number(out, geo.lon);
             out.push_str(",\"lat\":");
-            json::push_num(out, geo.lat);
+            write_number(out, geo.lat);
         }
         out.push('}');
     }
@@ -735,7 +736,7 @@ fn push_category_counts(out: &mut String, counts: &[u64; Category::COUNT]) {
             out.push(',');
         }
         first = false;
-        json::push_str_lit(out, Category::from_index(i).name());
+        write_str(out, Category::from_index(i).name());
         let _ = write!(out, ":{count}");
     }
     out.push('}');
@@ -753,9 +754,9 @@ fn push_mix(out: &mut String, mix: &[f64; Category::COUNT]) {
             out.push(',');
         }
         first = false;
-        json::push_str_lit(out, Category::from_index(i).name());
+        write_str(out, Category::from_index(i).name());
         out.push(':');
-        json::push_num(out, share);
+        write_number(out, share);
     }
     out.push('}');
 }
@@ -795,9 +796,9 @@ fn push_cohort_entry(out: &mut String, table: &CohortTable, cohort: &Cohort) {
         "{{\"id\":{},\"size\":{},\"mean_active_days\":",
         cohort.id, cohort.size
     );
-    json::push_num(out, cohort.mean_active_days);
+    write_number(out, cohort.mean_active_days);
     out.push_str(",\"mean_stays\":");
-    json::push_num(out, cohort.mean_stays);
+    write_number(out, cohort.mean_stays);
     out.push_str(",\"dominant\":");
     push_primary(out, cohort.dominant_category());
     out.push_str(",\"mix\":");
@@ -836,7 +837,7 @@ pub(crate) fn push_motif_class(out: &mut String, class: &MotifClass) {
         "{{\"id\":{},\"form\":\"{:#x}\",\"nodes\":{},\"edges\":{},\"days\":{},\"share\":",
         class.id, class.form, class.nodes, class.edges, class.days,
     );
-    json::push_num(out, class.share);
+    write_number(out, class.share);
     out.push_str(",\"categories\":{");
     let mut first = true;
     for (i, &count) in class.category_counts.iter().enumerate() {
@@ -847,7 +848,7 @@ pub(crate) fn push_motif_class(out: &mut String, class: &MotifClass) {
             out.push(',');
         }
         first = false;
-        json::push_str_lit(out, Category::from_index(i).name());
+        write_str(out, Category::from_index(i).name());
         let _ = write!(out, ":{count}");
     }
     let _ = write!(
@@ -895,14 +896,14 @@ fn push_tags(out: &mut String, tags: Tags) {
         if i > 0 {
             out.push(',');
         }
-        json::push_str_lit(out, c.name());
+        write_str(out, c.name());
     }
     out.push(']');
 }
 
 fn push_primary(out: &mut String, primary: Option<Category>) {
     match primary {
-        Some(c) => json::push_str_lit(out, c.name()),
+        Some(c) => write_str(out, c.name()),
         None => out.push_str("null"),
     }
 }

@@ -293,9 +293,9 @@ impl ServeState {
                 out.push(',');
             }
             out.push_str("{\"from\":");
-            json::push_str_lit(&mut out, from.name());
+            pm_obs::json::write_str(&mut out, from.name());
             out.push_str(",\"to\":");
-            json::push_str_lit(&mut out, to.name());
+            pm_obs::json::write_str(&mut out, to.name());
             let _ = write!(out, ",\"count\":{count}}}");
         }
         out.push_str("]}");

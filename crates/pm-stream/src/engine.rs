@@ -410,16 +410,6 @@ impl IngestEngine {
         self.clock
     }
 
-    /// The shape this engine runs with.
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    /// Stays currently accumulated for re-mining.
-    pub fn stays_buffered(&self) -> usize {
-        self.stay_buffer.len()
-    }
-
     /// A copy of the accumulated `(user, stay)` pairs, oldest first. The
     /// buffer is *not* drained: re-mining is a read-only consumer, and a
     /// replayed engine must reach the same buffer regardless of how often
@@ -1266,11 +1256,11 @@ mod tests {
         );
         assert_eq!(o.stays, 3);
         assert_eq!(o.stays_shed, 1);
-        assert_eq!(e.stays_buffered(), 2);
         let snap = e.stays_snapshot();
+        assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].1.time, 200, "oldest stay was shed");
         assert_eq!(snap[1].1.time, 300);
-        assert_eq!(e.stays_buffered(), 2, "snapshot does not drain");
+        assert_eq!(e.stays_snapshot().len(), 2, "snapshot does not drain");
         assert_eq!(e.stats().stays_shed, 1);
     }
 
@@ -1282,7 +1272,7 @@ mod tests {
         let o = e.ingest_batch(&[stay("u", 0.0, 100)], recog);
         assert_eq!(o.stays, 1);
         assert_eq!(o.stays_shed, 0);
-        assert_eq!(e.stays_buffered(), 0);
+        assert!(e.stays_snapshot().is_empty());
     }
 
     #[test]

@@ -310,13 +310,10 @@ impl ShardedEngine {
         }
         // Settle every shard to the recovered global clock: a shard whose
         // log was short still owes the evictions the others' clock implies.
-        let global = shards
-            .iter()
-            .filter_map(|s| lock_engine(&s.engine).clock())
-            .max();
+        let global = shards.iter().filter_map(|s| lock(&s.engine).clock()).max();
         if let Some(g) = global {
             for shard in &shards {
-                lock_engine(&shard.engine).advance_to(g, |p| recognize(p));
+                lock(&shard.engine).advance_to(g, |p| recognize(p));
             }
         }
         let pool = (config.shards > 1).then(|| ShardPool::new(config.shards));
@@ -332,22 +329,6 @@ impl ShardedEngine {
         ))
     }
 
-    /// Wraps one already-built engine as a single WAL-less shard — the
-    /// restore path for callers that checkpointed an engine themselves.
-    pub fn from_engine(engine: IngestEngine) -> ShardedEngine {
-        let clock = engine.clock();
-        ShardedEngine {
-            config: ShardConfig::new(1, engine.config()),
-            shards: Arc::new(vec![Shard {
-                engine: Mutex::new(engine),
-                wal: None,
-            }]),
-            pool: None,
-            clock: Mutex::new(clock),
-            in_flight: Arc::new(AtomicUsize::new(0)),
-        }
-    }
-
     /// The shard count.
     pub fn shards(&self) -> usize {
         self.config.shards
@@ -360,7 +341,7 @@ impl ShardedEngine {
 
     /// The sealed global clock.
     pub fn clock(&self) -> Option<Timestamp> {
-        *self.clock.lock().expect("clock lock")
+        *lock(&self.clock)
     }
 
     /// Ingests one logical batch: seals the clock, logs each shard's
@@ -379,7 +360,7 @@ impl ShardedEngine {
         let mut outcome = BatchOutcome::default();
         let mut pending = Vec::new();
         {
-            let mut clock = self.clock.lock().expect("clock lock");
+            let mut clock = lock(&self.clock);
             let seal = {
                 let batch_max = records
                     .iter()
@@ -445,17 +426,15 @@ impl ShardedEngine {
                         self.in_flight.fetch_add(1, Ordering::Relaxed);
                         let done = InFlight(Arc::clone(&self.in_flight));
                         pending.push(pool.run(i, move || {
-                            let outcome = lock_engine(&shards[i].engine).ingest_batch_sealed(
-                                &part,
-                                seal,
-                                |p| rec(p),
-                            );
+                            let outcome =
+                                lock(&shards[i].engine)
+                                    .ingest_batch_sealed(&part, seal, |p| rec(p));
                             drop(done); // after the engine guard, even on unwind
                             outcome
                         }));
                     }
                     None => {
-                        outcome.absorb(&lock_engine(&self.shards[i].engine).ingest_batch_sealed(
+                        outcome.absorb(&lock(&self.shards[i].engine).ingest_batch_sealed(
                             &part,
                             seal,
                             |p| recognize(p),
@@ -499,12 +478,12 @@ impl ShardedEngine {
         recognize: &Recognizer,
         f: impl FnOnce(&mut [MutexGuard<'_, IngestEngine>]) -> T,
     ) -> (T, BatchOutcome) {
-        let clock = self.clock.lock().expect("clock lock");
+        let clock = lock(&self.clock);
         let global = *clock;
         self.drain(&clock);
         let mut outcome = BatchOutcome::default();
         let mut guards: Vec<MutexGuard<'_, IngestEngine>> =
-            self.shards.iter().map(|s| lock_engine(&s.engine)).collect();
+            self.shards.iter().map(|s| lock(&s.engine)).collect();
         if let Some(g) = global {
             for guard in &mut guards {
                 outcome.absorb(&guard.advance_to(g, |p| recognize(p)));
@@ -597,7 +576,7 @@ impl ShardedEngine {
     pub fn stats(&self) -> EngineStats {
         let mut out = EngineStats::default();
         for shard in self.shards.iter() {
-            let s = lock_engine(&shard.engine).stats();
+            let s = lock(&shard.engine).stats();
             out.accepted += s.accepted;
             out.quarantined += s.quarantined;
             out.dropped_non_finite += s.dropped_non_finite;
@@ -643,13 +622,13 @@ impl ShardedEngine {
     /// then writes each shard's engine state into its own log. One logical
     /// checkpoint, N durable files. No-op without a WAL.
     pub fn checkpoint_all(&self) -> Result<(), StreamError> {
-        let clock = self.clock.lock().expect("clock lock");
+        let clock = lock(&self.clock);
         self.drain(&clock);
         for shard in self.shards.iter() {
             let Some(wal) = &shard.wal else {
                 continue;
             };
-            let state = lock_engine(&shard.engine).state_bytes();
+            let state = lock(&shard.engine).state_bytes();
             wal.lock().expect("wal lock").checkpoint(&state)?;
         }
         Ok(())
@@ -665,10 +644,13 @@ impl std::fmt::Debug for ShardedEngine {
     }
 }
 
-/// Locks a shard's engine. A shard job that panicked mid-batch poisons the
-/// mutex; reads keep serving the state it left rather than failing forever.
-fn lock_engine<'a>(engine: &'a Mutex<IngestEngine>) -> MutexGuard<'a, IngestEngine> {
-    engine.lock().unwrap_or_else(PoisonError::into_inner)
+/// Locks the sequencer or a shard's engine. A batch that panicked
+/// mid-ingest poisons the engine mutex, and at one shard (inline, under
+/// the sequencer) the clock mutex too. Both stay usable: the clock was
+/// sealed before any engine work began, and reads keep serving the state
+/// the batch left rather than failing forever.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn absorb_report(into: &mut RecoveryReport, from: &RecoveryReport) {
@@ -1100,7 +1082,7 @@ mod tests {
             assert!(pos != boom, "recognizer failure");
             Some(Category::Residence)
         });
-        for shards in [2, 8] {
+        for shards in [1, 2, 8] {
             let (engine, _) =
                 ShardedEngine::open(ShardConfig::new(shards, engine_config()), &recog)
                     .expect("open");

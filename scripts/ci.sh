@@ -45,6 +45,12 @@ done
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+# pm-bench is outside the default members, so the step above skips it and
+# the bench steps below build only the benches they run: lint all of its
+# targets here so none of them rots unbuilt.
+echo "==> cargo clippy -p pm-bench --all-targets -- -D warnings"
+cargo clippy -p pm-bench --all-targets -- -D warnings
+
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
