@@ -1,13 +1,14 @@
 //! Planar K-Means checks: the cases the former [`LocalPoint`] K-Means was
-//! tested on, run on [`kmeans_nd`] at `dims = 2`, which replaced it.
+//! tested on, run on [`kmeans_nd`] at `dims = 2` over `[(0, x), (1, y)]`
+//! rows, which replaced it.
 
 use crate::{kmeans_nd, KMeansNdParams, KMeansNdResult};
 use pm_geo::LocalPoint;
 
 /// K-Means over planar points; the centroids come back as points.
 fn kmeans(points: &[LocalPoint], params: KMeansNdParams) -> (KMeansNdResult, Vec<LocalPoint>) {
-    let data: Vec<f64> = points.iter().flat_map(|p| [p.x, p.y]).collect();
-    let r = kmeans_nd(&data, 2, params);
+    let rows: Vec<[(usize, f64); 2]> = points.iter().map(|p| [(0, p.x), (1, p.y)]).collect();
+    let r = kmeans_nd(&rows, 2, params);
     let centroids = r
         .centroids
         .chunks(2)

@@ -12,9 +12,9 @@
 //! - [`meanshift`]: Mean Shift mode seeking (Comaniciu & Meer, ref \[25\]),
 //!   the refinement step of the Splitter competitor (ref \[17\]).
 //! - [`ndim`]: K-Means with k-means++ seeding (mentioned in ref \[21\]'s
-//!   hybrid annotation algorithm) and Mean Shift over N-dimensional rows —
-//!   planar points at `dims = 2`, pm-cohort's user-embedding profiles at
-//!   240.
+//!   hybrid annotation algorithm) over sparse N-dimensional rows — planar
+//!   points at `dims = 2`, pm-cohort's user-embedding profiles at 240 —
+//!   and Mean Shift over flat rows.
 //!
 //! [`kernel`] holds the Gaussian distribution coefficient of the paper's
 //! Eq. 2, shared by popularity estimation and semantic recognition.

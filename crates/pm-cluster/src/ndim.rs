@@ -1,19 +1,27 @@
-//! N-dimensional K-Means and Mean Shift over flat row-major data.
+//! N-dimensional K-Means over sparse rows, and Mean Shift over flat
+//! row-major data.
 //!
-//! Rows are stored flat (`data[i * dims .. (i + 1) * dims]` is point `i`),
-//! so one implementation serves both planar points (`dims = 2`) and
-//! user-embedding spaces (pm-cohort's 240-dimensional category-transition
-//! profiles). [`crate::meanshift`] keeps a 2-D Mean Shift over
-//! [`pm_geo::LocalPoint`] for the Splitter baseline. Both algorithms here
-//! follow the crate's determinism discipline: ChaCha8-seeded k-means++
-//! initialization, fixed iteration order, and non-finite rows masked out as
-//! noise instead of poisoning every centroid.
+//! [`kmeans_nd`] takes each row as its key-sorted `(dim, value)` entries,
+//! every absent dim reading `+0.0`, so a row costs what it holds: planar
+//! points (`dims = 2`) carry both coordinates, and pm-cohort's
+//! 240-dimensional category-transition profiles carry a handful of
+//! nonzeros each. [`mean_shift_nd`] keeps flat rows
+//! (`data[i * dims .. (i + 1) * dims]` is point `i`) for the small
+//! populations it serves, and [`crate::meanshift`] keeps a 2-D Mean Shift
+//! over [`pm_geo::LocalPoint`] for the Splitter baseline. Both algorithms
+//! here follow the crate's determinism discipline: ChaCha8-seeded
+//! k-means++ initialization, fixed iteration order, and non-finite rows
+//! masked out as noise instead of poisoning every centroid.
 //!
-//! K-Means groups the finite rows by bit pattern first and computes each
-//! distinct row's squared distances and nearest centroid once per step.
-//! Everything that folds floats — centroid sums, the k-means++ sampling
-//! walk, inertia — still visits every row in row order, so the result is
-//! bit-identical to the plain per-row loop (DESIGN.md §17.2).
+//! K-Means groups the finite rows by their `(dim, bits)` entries first and
+//! computes each distinct row's squared distances and nearest centroid
+//! once per step. A squared distance sums, in dim order, only over the
+//! union of the row's entries and the centroid's nonzero dims: every term
+//! it skips is `(+0.0 − ±0.0)² = +0.0`, added to an accumulator that starts
+//! at `+0.0` and only grows, so it changes no bit. Everything that folds
+//! floats — centroid sums, the k-means++ sampling walk, inertia — still
+//! visits every row in row order, so the result is bit-identical to the
+//! plain dense per-row loop (DESIGN.md §17.2).
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -56,30 +64,47 @@ impl KMeansNdParams {
 /// Result of an N-dimensional K-Means run.
 #[derive(Debug, Clone)]
 pub struct KMeansNdResult {
-    /// Per-row cluster assignment; rows with non-finite coordinates are
+    /// Per-row cluster assignment; rows with non-finite entries are
     /// labelled `None`, everything else `Some(0..n_clusters)`.
     pub labels: Vec<Option<usize>>,
     /// Number of clusters actually produced (≤ `k`, clamped to the number
     /// of finite rows).
     pub n_clusters: usize,
-    /// Final centroids, row-major (`n_clusters * dims` values).
+    /// Final centroids, dense and row-major (`n_clusters * dims` values).
     pub centroids: Vec<f64>,
     /// Sum of squared distances of finite rows to their centroid.
     pub inertia: f64,
 }
 
-/// Lloyd's algorithm with k-means++ seeding over `dims`-dimensional rows.
+/// Lloyd's algorithm with k-means++ seeding over sparse `dims`-dimensional
+/// rows.
 ///
-/// `data.len()` must be a multiple of `dims`. Deterministic for a given
-/// (data, params) pair: the RNG is seeded, ties in the assignment step go to
-/// the lowest centroid index, and accumulation order is the row order.
-/// Repeated rows cost one distance computation per step, not one each.
-pub fn kmeans_nd(data: &[f64], dims: usize, params: KMeansNdParams) -> KMeansNdResult {
+/// Each row lists its `(dim, value)` entries by strictly increasing
+/// `dim < dims`; a dim it leaves out is `+0.0`, and an entry may hold any
+/// value, `-0.0` included. Deterministic for a given (rows, params) pair:
+/// the RNG is seeded, ties in the assignment step go to the lowest centroid
+/// index, and accumulation order is the row order. Repeated rows cost one
+/// distance computation per step, not one each.
+///
+/// # Panics
+///
+/// When `dims` is 0, or a row's dims are out of order or out of range.
+pub fn kmeans_nd<R: AsRef<[(usize, f64)]>>(
+    rows: &[R],
+    dims: usize,
+    params: KMeansNdParams,
+) -> KMeansNdResult {
     assert!(dims >= 1, "dims must be at least 1");
-    assert_eq!(data.len() % dims, 0, "data must be whole rows");
-    let n = data.len() / dims;
+    for r in rows {
+        let r = r.as_ref();
+        assert!(
+            r.windows(2).all(|w| w[0].0 < w[1].0) && r.last().is_none_or(|&(d, _)| d < dims),
+            "row dims must increase strictly and stay below {dims}"
+        );
+    }
+    let n = rows.len();
     let finite: Vec<usize> = (0..n)
-        .filter(|&i| row(data, dims, i).iter().all(|v| v.is_finite()))
+        .filter(|&i| rows[i].as_ref().iter().all(|(_, v)| v.is_finite()))
         .collect();
     let k = params.k.min(finite.len());
     if k == 0 {
@@ -91,22 +116,22 @@ pub fn kmeans_nd(data: &[f64], dims: usize, params: KMeansNdParams) -> KMeansNdR
         };
     }
 
-    let rows = DistinctRows::group(data, dims, &finite);
-    let mut centroids = plus_plus_init_nd(&rows, k, params.seed);
+    let rows = DistinctRows::group(rows, &finite);
+    let mut centroids = plus_plus_init_nd(&rows, dims, k, params.seed);
     let mut nearest = vec![0usize; rows.len()];
 
     for _ in 0..params.max_iter {
         for (d, slot) in nearest.iter_mut().enumerate() {
-            *slot = nearest_row(rows.row(d), &centroids, dims);
+            *slot = centroids.nearest(rows.row(d)).0;
         }
         // Every accumulator starts at +0.0 and so never holds -0.0; adding
-        // ±0.0 leaves it unchanged, and skipping zeros is exact.
+        // ±0.0 leaves it unchanged, and absent dims add nothing.
         let mut sums = vec![0.0; k * dims];
         let mut counts = vec![0usize; k];
         for &d in &rows.of {
             let c = nearest[d];
             let sum = &mut sums[c * dims..(c + 1) * dims];
-            for &(dim, v) in rows.nonzeros(d) {
+            for &(dim, v) in rows.row(d) {
                 sum[dim] += v;
             }
             counts[c] += 1;
@@ -118,12 +143,13 @@ pub fn kmeans_nd(data: &[f64], dims: usize, params: KMeansNdParams) -> KMeansNdR
             }
             let inv = 1.0 / counts[c] as f64;
             let mut d_sq = 0.0;
-            for d in 0..dims {
-                let next = sums[c * dims + d] * inv;
-                let delta = next - centroids[c * dims + d];
+            for (slot, sum) in centroids.row_mut(c).iter_mut().zip(&sums[c * dims..]) {
+                let next = sum * inv;
+                let delta = next - *slot;
                 d_sq += delta * delta;
-                centroids[c * dims + d] = next;
+                *slot = next;
             }
+            centroids.refresh_support(c);
             movement += d_sq.sqrt();
         }
         if movement < params.tol {
@@ -133,9 +159,9 @@ pub fn kmeans_nd(data: &[f64], dims: usize, params: KMeansNdParams) -> KMeansNdR
 
     let best: Vec<(usize, f64)> = (0..rows.len())
         .map(|d| {
-            let p = rows.row(d);
-            let c = nearest_row(p, &centroids, dims);
-            (c, dist_sq(p, &centroids[c * dims..(c + 1) * dims]))
+            let r = rows.row(d);
+            let c = centroids.nearest(r).0;
+            (c, centroids.dist_sq(r, c))
         })
         .collect();
     let mut labels = vec![None; n];
@@ -149,84 +175,154 @@ pub fn kmeans_nd(data: &[f64], dims: usize, params: KMeansNdParams) -> KMeansNdR
     KMeansNdResult {
         labels,
         n_clusters: k,
-        centroids,
+        centroids: centroids.values,
         inertia,
     }
 }
 
-/// The finite rows of a K-Means input, grouped by bit pattern.
+/// The finite rows of a K-Means input, grouped by their `(dim, bits)`
+/// entries.
 struct DistinctRows<'a> {
-    data: &'a [f64],
-    dims: usize,
-    /// Row index of each distinct pattern's first occurrence.
-    first: Vec<usize>,
+    /// Entries of each distinct pattern (its first occurrence).
+    patterns: Vec<&'a [(usize, f64)]>,
     /// Pattern of each finite row, in row order.
     of: Vec<usize>,
-    /// Non-zero `(dim, value)` entries of every pattern, concatenated;
-    /// pattern `d` owns `nonzeros[starts[d]..starts[d + 1]]`.
-    nonzeros: Vec<(usize, f64)>,
-    starts: Vec<usize>,
 }
 
 impl<'a> DistinctRows<'a> {
-    fn group(data: &'a [f64], dims: usize, finite: &[usize]) -> Self {
+    fn group<R: AsRef<[(usize, f64)]>>(rows: &'a [R], finite: &[usize]) -> Self {
         let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut first: Vec<usize> = Vec::new();
+        let mut patterns: Vec<&'a [(usize, f64)]> = Vec::new();
         let mut of = Vec::with_capacity(finite.len());
         for &i in finite {
-            let r = row(data, dims, i);
+            let r = rows[i].as_ref();
             let bucket = by_hash.entry(row_hash(r)).or_default();
-            let seen = bucket
-                .iter()
-                .copied()
-                .find(|&d| same_bits(row(data, dims, first[d]), r));
+            let seen = bucket.iter().copied().find(|&d| same_bits(patterns[d], r));
             of.push(seen.unwrap_or_else(|| {
-                bucket.push(first.len());
-                first.push(i);
-                first.len() - 1
+                bucket.push(patterns.len());
+                patterns.push(r);
+                patterns.len() - 1
             }));
         }
-        let mut nonzeros = Vec::new();
-        let mut starts = Vec::with_capacity(first.len() + 1);
-        starts.push(0);
-        for &i in &first {
-            let r = row(data, dims, i);
-            nonzeros.extend(r.iter().copied().enumerate().filter(|&(_, v)| v != 0.0));
-            starts.push(nonzeros.len());
-        }
-        Self {
-            data,
-            dims,
-            first,
-            of,
-            nonzeros,
-            starts,
-        }
+        Self { patterns, of }
     }
 
     /// Number of distinct patterns.
     fn len(&self) -> usize {
-        self.first.len()
+        self.patterns.len()
     }
 
-    fn row(&self, d: usize) -> &'a [f64] {
-        row(self.data, self.dims, self.first[d])
-    }
-
-    fn nonzeros(&self, d: usize) -> &[(usize, f64)] {
-        &self.nonzeros[self.starts[d]..self.starts[d + 1]]
+    fn row(&self, d: usize) -> &'a [(usize, f64)] {
+        self.patterns[d]
     }
 }
 
-/// FxHash-style fold over the bit patterns of a row.
-fn row_hash(r: &[f64]) -> u64 {
-    r.iter().fold(0, |h: u64, v| {
+/// FxHash-style fold over the dims and bit patterns of a row's entries.
+fn row_hash(r: &[(usize, f64)]) -> u64 {
+    r.iter().fold(0, |h: u64, &(dim, v)| {
+        let h = (h.rotate_left(5) ^ dim as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
         (h.rotate_left(5) ^ v.to_bits()).wrapping_mul(0x517c_c1b7_2722_0a95)
     })
 }
 
-fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+fn same_bits(a: &[(usize, f64)], b: &[(usize, f64)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+}
+
+/// Dense centroids plus, per centroid, the dims whose value is not ±0.0:
+/// the only dims a squared distance to a row needs besides the row's own.
+struct Centroids {
+    dims: usize,
+    values: Vec<f64>,
+    support: Vec<Vec<usize>>,
+}
+
+impl Centroids {
+    fn with_capacity(dims: usize, k: usize) -> Self {
+        Self {
+            dims,
+            values: Vec::with_capacity(k * dims),
+            support: Vec::with_capacity(k),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.support.len()
+    }
+
+    /// Appends a centroid at the given row.
+    fn push(&mut self, r: &[(usize, f64)]) {
+        let start = self.values.len();
+        self.values.resize(start + self.dims, 0.0);
+        for &(dim, v) in r {
+            self.values[start + dim] = v;
+        }
+        self.support.push(Vec::new());
+        self.refresh_support(self.len() - 1);
+    }
+
+    fn row_mut(&mut self, c: usize) -> &mut [f64] {
+        &mut self.values[c * self.dims..(c + 1) * self.dims]
+    }
+
+    fn refresh_support(&mut self, c: usize) {
+        let values = &self.values[c * self.dims..(c + 1) * self.dims];
+        let support = &mut self.support[c];
+        support.clear();
+        support.extend((0..values.len()).filter(|&dim| values[dim] != 0.0));
+    }
+
+    /// Squared Euclidean distance from a row to centroid `c`, summed in dim
+    /// order over the row's entries and the centroid's support. A dim in
+    /// neither is `(+0.0 − ±0.0)² = +0.0`, which the non-negative
+    /// accumulator absorbs bit for bit, so this equals the dense sum.
+    fn dist_sq(&self, r: &[(usize, f64)], c: usize) -> f64 {
+        let m = &self.values[c * self.dims..(c + 1) * self.dims];
+        let mut acc = 0.0;
+        if r.len() == self.dims {
+            // A full row lists every dim in order: the dense loop.
+            for (&(_, x), y) in r.iter().zip(m) {
+                let d = x - y;
+                acc += d * d;
+            }
+            return acc;
+        }
+        let support = &self.support[c];
+        let (mut i, mut j) = (0, 0);
+        while i < r.len() || j < support.len() {
+            let row_dim = r.get(i).map_or(usize::MAX, |e| e.0);
+            let centroid_dim = support.get(j).copied().unwrap_or(usize::MAX);
+            let dim = row_dim.min(centroid_dim);
+            let x = if row_dim == dim {
+                i += 1;
+                r[i - 1].1
+            } else {
+                0.0
+            };
+            if centroid_dim == dim {
+                j += 1;
+            }
+            let d = x - m[dim];
+            acc += d * d;
+        }
+        acc
+    }
+
+    /// The nearest centroid (lowest index on ties) and its squared
+    /// distance.
+    fn nearest(&self, r: &[(usize, f64)]) -> (usize, f64) {
+        let mut best = (0, f64::INFINITY);
+        for c in 0..self.len() {
+            let d = self.dist_sq(r, c);
+            if d < best.1 {
+                best = (c, d);
+            }
+        }
+        best
+    }
 }
 
 /// Parameters for [`mean_shift_nd`].
@@ -361,33 +457,19 @@ fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-fn nearest_row(p: &[f64], centroids: &[f64], dims: usize) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (c, m) in centroids.chunks_exact(dims).enumerate() {
-        let d = dist_sq(p, m);
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    best
-}
-
 /// k-means++ seeding: the first centroid is a uniformly drawn row, each
 /// further one a row drawn with probability proportional to its squared
 /// distance from the nearest centroid so far. Distances are kept per
 /// distinct pattern; the total and the sampling walk run over every row.
-fn plus_plus_init_nd(rows: &DistinctRows, k: usize, seed: u64) -> Vec<f64> {
-    let dims = rows.dims;
+fn plus_plus_init_nd(rows: &DistinctRows, dims: usize, k: usize, seed: u64) -> Centroids {
     let n = rows.of.len();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut centroids = Vec::with_capacity(k * dims);
-    centroids.extend_from_slice(rows.row(rows.of[rng.gen_range(0..n)]));
+    let mut centroids = Centroids::with_capacity(dims, k);
+    centroids.push(rows.row(rows.of[rng.gen_range(0..n)]));
     let mut d_sq: Vec<f64> = (0..rows.len())
-        .map(|d| dist_sq(rows.row(d), &centroids[..dims]))
+        .map(|d| centroids.dist_sq(rows.row(d), 0))
         .collect();
-    while centroids.len() < k * dims {
+    while centroids.len() < k {
         let total: f64 = rows.of.iter().map(|&d| d_sq[d]).sum();
         let next = if total <= f64::EPSILON {
             // All remaining rows coincide with existing centroids.
@@ -404,10 +486,10 @@ fn plus_plus_init_nd(rows: &DistinctRows, k: usize, seed: u64) -> Vec<f64> {
             }
             chosen
         };
-        let start = centroids.len();
-        centroids.extend_from_slice(rows.row(next));
+        centroids.push(rows.row(next));
+        let c = centroids.len() - 1;
         for (d, slot) in d_sq.iter_mut().enumerate() {
-            *slot = slot.min(dist_sq(rows.row(d), &centroids[start..]));
+            *slot = slot.min(centroids.dist_sq(rows.row(d), c));
         }
     }
     centroids
@@ -433,9 +515,23 @@ mod tests {
         data
     }
 
+    /// Flat dense rows in the sparse form [`kmeans_nd`] takes: every
+    /// entry but `+0.0` is kept, `-0.0` included.
+    fn sparse(data: &[f64], dims: usize) -> Vec<Vec<(usize, f64)>> {
+        data.chunks_exact(dims)
+            .map(|r| {
+                r.iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|&(_, v)| v.to_bits() != 0)
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn kmeans_nd_separates_blobs() {
-        let data = blobs();
+        let data = sparse(&blobs(), 3);
         let r = kmeans_nd(&data, 3, KMeansNdParams::new(2).with_seed(7));
         assert_eq!(r.n_clusters, 2);
         let l0 = r.labels[0];
@@ -446,7 +542,7 @@ mod tests {
 
     #[test]
     fn kmeans_nd_deterministic_given_seed() {
-        let data = blobs();
+        let data = sparse(&blobs(), 3);
         let a = kmeans_nd(&data, 3, KMeansNdParams::new(3).with_seed(42));
         let b = kmeans_nd(&data, 3, KMeansNdParams::new(3).with_seed(42));
         assert_eq!(a.labels, b.labels);
@@ -456,23 +552,35 @@ mod tests {
 
     #[test]
     fn kmeans_nd_clamps_k_and_handles_empty() {
-        let r = kmeans_nd(&[1.0, 2.0], 2, KMeansNdParams::new(5));
+        let r = kmeans_nd(&[[(0, 1.0), (1, 2.0)]], 2, KMeansNdParams::new(5));
         assert_eq!(r.n_clusters, 1);
         assert!(r.inertia < 1e-12);
-        let e = kmeans_nd(&[], 4, KMeansNdParams::new(3));
+        let e = kmeans_nd::<Vec<(usize, f64)>>(&[], 4, KMeansNdParams::new(3));
         assert_eq!(e.n_clusters, 0);
         assert!(e.labels.is_empty());
     }
 
     #[test]
     fn kmeans_nd_masks_non_finite_rows() {
-        let mut data = blobs();
-        data.extend_from_slice(&[f64::NAN, 0.0, 0.0]);
+        let mut data = sparse(&blobs(), 3);
+        data.push(vec![(0, f64::NAN)]);
         let r = kmeans_nd(&data, 3, KMeansNdParams::new(2).with_seed(7));
         assert_eq!(r.labels.last().copied().flatten(), None);
-        let clean = kmeans_nd(&blobs(), 3, KMeansNdParams::new(2).with_seed(7));
+        let clean = kmeans_nd(&sparse(&blobs(), 3), 3, KMeansNdParams::new(2).with_seed(7));
         assert_eq!(&r.labels[..40], &clean.labels[..]);
         assert_eq!(r.centroids, clean.centroids);
+    }
+
+    #[test]
+    #[should_panic(expected = "row dims must increase strictly")]
+    fn kmeans_nd_rejects_unsorted_rows() {
+        kmeans_nd(&[[(1, 1.0), (0, 2.0)]], 2, KMeansNdParams::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "row dims must increase strictly")]
+    fn kmeans_nd_rejects_out_of_range_dims() {
+        kmeans_nd(&[[(2, 1.0)]], 2, KMeansNdParams::new(1));
     }
 
     /// The per-row kernel that [`kmeans_nd`] replaced, kept verbatim as the
@@ -545,6 +653,19 @@ mod tests {
         }
     }
 
+    fn nearest_row(p: &[f64], centroids: &[f64], dims: usize) -> usize {
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for (c, m) in centroids.chunks_exact(dims).enumerate() {
+            let d = dist_sq(p, m);
+            if d < best_d {
+                best_d = d;
+                best = c;
+            }
+        }
+        best
+    }
+
     fn plus_plus_init_reference(
         data: &[f64],
         dims: usize,
@@ -599,34 +720,51 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Rows drawn from a pool of patterns — a small pool gives heavy
-        /// repeats, a large one mostly distinct rows — with +0.0, -0.0 and
-        /// integer entries (exact distance ties), some rows then poisoned
-        /// with NaN or ±inf: the grouped kernel matches the per-row oracle
-        /// bit for bit.
+        /// repeats, a large one mostly distinct rows — at dims 1–6, 2 and
+        /// 240. Each pattern sets a few dims to +0.0, -0.0, an integer
+        /// (exact distance ties) or any value, and leaves the rest +0.0, so
+        /// some rows are all zero; some rows are then poisoned with NaN or
+        /// ±inf. The per-row dense kernel gets the rows flat; the sparse
+        /// kernel gets them without their +0.0 entries, -0.0 kept. Both
+        /// agree bit for bit.
         #[test]
         fn kmeans_nd_is_bit_identical_to_the_per_row_kernel(
             pool in prop::collection::vec(
                 prop::collection::vec(
-                    (0u8..6, -50.0..50.0f64).prop_map(|(kind, v)| match kind {
+                    (0usize..240, (0u8..6, -50.0..50.0f64).prop_map(|(kind, v)| match kind {
                         0 => 0.0,
                         1 => -0.0,
                         2 => v.round(),
                         _ => v,
-                    }),
-                    6,
+                    })),
+                    0..12,
                 ),
                 1..40,
             ),
             picks in prop::collection::vec(0usize..1_000, 0..90),
-            poison in prop::collection::vec((0usize..1_000, 0usize..6, 0u8..3), 0..5),
-            dims in 1usize..7,
+            poison in prop::collection::vec((0usize..1_000, 0usize..240, 0u8..3), 0..5),
+            dims in (0u8..8).prop_map(|c| match c {
+                0 | 1 => 240,
+                2 => 2,
+                c => c as usize - 2,
+            }),
             k in 1usize..9,
             seed in 0u64..1_000,
             max_iter in 1usize..120,
         ) {
+            let patterns: Vec<Vec<f64>> = pool
+                .iter()
+                .map(|sets| {
+                    let mut r = vec![0.0; dims];
+                    for &(dim, v) in sets {
+                        r[dim % dims] = v;
+                    }
+                    r
+                })
+                .collect();
             let mut data: Vec<f64> = picks
                 .iter()
-                .flat_map(|&p| pool[p % pool.len()][..dims].to_vec())
+                .flat_map(|&p| patterns[p % patterns.len()].clone())
                 .collect();
             let n = picks.len();
             if n > 0 {
@@ -642,7 +780,7 @@ mod tests {
                 max_iter,
                 ..KMeansNdParams::new(k).with_seed(seed)
             };
-            let got = kmeans_nd(&data, dims, params);
+            let got = kmeans_nd(&sparse(&data, dims), dims, params);
             let want = kmeans_nd_reference(&data, dims, params);
             prop_assert_eq!(result_bits(&got), result_bits(&want));
         }

@@ -15,9 +15,9 @@ fn point_vec(max: usize) -> impl Strategy<Value = Vec<LocalPoint>> {
     prop::collection::vec(local_point(), 0..max)
 }
 
-/// Points as flat `[x, y]` rows, the layout `kmeans_nd` takes.
-fn flat(points: &[LocalPoint]) -> Vec<f64> {
-    points.iter().flat_map(|p| [p.x, p.y]).collect()
+/// Points as sparse `[(0, x), (1, y)]` rows, the layout `kmeans_nd` takes.
+fn rows(points: &[LocalPoint]) -> Vec<[(usize, f64); 2]> {
+    points.iter().map(|p| [(0, p.x), (1, p.y)]).collect()
 }
 
 /// Overwrites points selected by `(index, shape)` codes with non-finite
@@ -245,8 +245,8 @@ proptest! {
         seed in 0u64..100,
     ) {
         let (corrupt, finite, finite_idx) = inject_non_finite(points, &picks);
-        let r = kmeans_nd(&flat(&corrupt), 2, KMeansNdParams::new(k).with_seed(seed));
-        let clean = kmeans_nd(&flat(&finite), 2, KMeansNdParams::new(k).with_seed(seed));
+        let r = kmeans_nd(&rows(&corrupt), 2, KMeansNdParams::new(k).with_seed(seed));
+        let clean = kmeans_nd(&rows(&finite), 2, KMeansNdParams::new(k).with_seed(seed));
         prop_assert_eq!(&r.centroids, &clean.centroids);
         for c in &r.centroids {
             prop_assert!(c.is_finite(), "non-finite centroid coordinate {c}");
@@ -269,7 +269,7 @@ proptest! {
         k in 1usize..6,
         seed in 0u64..100,
     ) {
-        let r = kmeans_nd(&flat(&points), 2, KMeansNdParams::new(k).with_seed(seed));
+        let r = kmeans_nd(&rows(&points), 2, KMeansNdParams::new(k).with_seed(seed));
         let centroids: Vec<LocalPoint> = r
             .centroids
             .chunks_exact(2)

@@ -1,14 +1,16 @@
-//! Life-pattern cohort assignment over dense category profiles.
+//! Life-pattern cohort assignment over sparse category profiles.
 //!
 //! Cohorts partition the *coarse* view of each user — the 240-dimensional
-//! category profile of [`crate::embed::UserEmbedding`] — so two users who
+//! category profile of [`crate::embed::UserEmbedding`], kept as its
+//! nonzeros — so two users who
 //! shuttle between residence and office cluster together even when their
 //! actual units never overlap. The bulk path is seeded K-Means
-//! ([`pm_cluster::ndim::kmeans_nd`], byte-deterministic for a given seed);
-//! populations below [`CohortParams::small_population`] fall back to Mean
-//! Shift ([`pm_cluster::ndim::mean_shift_nd`]), which adapts the cohort
-//! count to the data instead of forcing a `k` that small samples cannot
-//! support.
+//! ([`pm_cluster::ndim::kmeans_nd`] over the sparse profiles,
+//! byte-deterministic for a given seed); populations below
+//! [`CohortParams::small_population`] fall back to Mean Shift
+//! ([`pm_cluster::ndim::mean_shift_nd`] over the profiles expanded to dense
+//! rows), which adapts the cohort count to the data instead of forcing a
+//! `k` that small samples cannot support.
 //!
 //! Raw cluster labels depend on seeding order, so they are relabelled
 //! canonically before anything persists: cohorts order by (size desc,
@@ -120,13 +122,13 @@ pub fn assign_cohorts(
     if n == 0 {
         return (Vec::new(), ClusterMethod::KMeans);
     }
-    let mut data = Vec::with_capacity(n * PROFILE_DIMS);
-    for e in embeddings {
-        debug_assert_eq!(e.profile.len(), PROFILE_DIMS);
-        data.extend_from_slice(&e.profile);
-    }
-
     let (raw, method) = if n < params.small_population {
+        let mut data = vec![0.0; n * PROFILE_DIMS];
+        for (row, e) in data.chunks_exact_mut(PROFILE_DIMS).zip(embeddings) {
+            for &(dim, v) in &e.profile {
+                row[dim] = v;
+            }
+        }
         let r = mean_shift_nd(
             &data,
             PROFILE_DIMS,
@@ -135,8 +137,9 @@ pub fn assign_cohorts(
         (r.labels, ClusterMethod::MeanShift)
     } else {
         let k = params.effective_k(n);
+        let profiles: Vec<&[(usize, f64)]> = embeddings.iter().map(|e| &e.profile[..]).collect();
         let r = kmeans_nd(
-            &data,
+            &profiles,
             PROFILE_DIMS,
             KMeansNdParams::new(k).with_seed(params.seed),
         );

@@ -9,7 +9,7 @@
 //!
 //! - [`embed`]: each user's recognized stay sequence becomes a sparse
 //!   L2-normalized vector over semantic-unit visits/transitions plus a
-//!   dense category-transition profile, with cosine (L2) and Jaccard
+//!   sparse category-transition profile, with cosine (L2) and Jaccard
 //!   similarity kernels.
 //! - [`cluster`]: users partition into **life-pattern cohorts** over their
 //!   category profiles — seeded, byte-deterministic K-Means

@@ -132,7 +132,8 @@ impl CohortIndex {
 impl CohortTable {
     /// Mines a table from per-user embeddings: sorts by user id, clusters
     /// the category profiles into cohorts, and freezes records and
-    /// aggregates. User ids must be unique (group stays per user first).
+    /// aggregates, moving each user's id, features and unit visits into
+    /// its record. User ids must be unique (group stays per user first).
     pub fn mine(mut embeddings: Vec<UserEmbedding>, params: &CohortParams) -> Self {
         embeddings.sort_by(|a, b| a.user.cmp(&b.user));
         for pair in embeddings.windows(2) {
@@ -155,7 +156,7 @@ impl CohortTable {
             })
             .collect();
         let mut users = Vec::with_capacity(embeddings.len());
-        for (e, &label) in embeddings.iter().zip(&labels) {
+        for (e, label) in embeddings.into_iter().zip(labels) {
             let c = &mut cohorts[label as usize];
             c.size += 1;
             c.mean_active_days += e.active_days as f64;
@@ -164,18 +165,18 @@ impl CohortTable {
                 *slot += v as f64;
             }
 
-            let mut top_units = e.unit_visits.clone();
+            let mut top_units = e.unit_visits;
             top_units.sort_by_key(|&(unit, visits)| (u64::MAX - visits, unit));
             top_units.truncate(TOP_UNITS_CAP);
             users.push(UserRecord {
-                user: e.user.clone(),
+                user: e.user,
                 cohort: label,
                 stays: e.stays,
                 active_days: e.active_days,
                 transitions: e.transitions,
                 category_visits: e.category_visits,
                 top_units,
-                features: e.features.clone(),
+                features: e.features,
             });
         }
         for c in cohorts.iter_mut() {

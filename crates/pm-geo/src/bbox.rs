@@ -54,14 +54,6 @@ impl BoundingBox {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Whether two boxes overlap (boundary touching counts).
-    pub fn intersects(&self, other: &BoundingBox) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-    }
-
     /// Box width in meters.
     pub fn width(&self) -> f64 {
         self.max.x - self.min.x
@@ -70,19 +62,6 @@ impl BoundingBox {
     /// Box height in meters.
     pub fn height(&self) -> f64 {
         self.max.y - self.min.y
-    }
-
-    /// Box area in square meters.
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
-    /// Center of the box.
-    pub fn center(&self) -> LocalPoint {
-        LocalPoint::new(
-            (self.min.x + self.max.x) / 2.0,
-            (self.min.y + self.max.y) / 2.0,
-        )
     }
 }
 
@@ -126,25 +105,10 @@ mod tests {
     }
 
     #[test]
-    fn intersection_detection() {
-        let a = BoundingBox::new(LocalPoint::ORIGIN, LocalPoint::new(2.0, 2.0));
-        let b = BoundingBox::new(LocalPoint::new(1.0, 1.0), LocalPoint::new(3.0, 3.0));
-        let c = BoundingBox::new(LocalPoint::new(5.0, 5.0), LocalPoint::new(6.0, 6.0));
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-        // Touching edges count as intersecting.
-        let d = BoundingBox::new(LocalPoint::new(2.0, 0.0), LocalPoint::new(4.0, 2.0));
-        assert!(a.intersects(&d));
-    }
-
-    #[test]
-    fn inflate_and_center() {
+    fn inflate_grows_every_side() {
         let bb = BoundingBox::new(LocalPoint::ORIGIN, LocalPoint::new(4.0, 2.0));
-        assert_eq!(bb.center(), LocalPoint::new(2.0, 1.0));
         let big = bb.inflate(1.0);
         assert_eq!(big.min, LocalPoint::new(-1.0, -1.0));
         assert_eq!(big.max, LocalPoint::new(5.0, 3.0));
-        assert_eq!(big.area(), 6.0 * 4.0);
     }
 }

@@ -181,7 +181,13 @@ impl Obs {
     /// Sets the named gauge to `value` (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            lock(&inner.gauges).insert(name.to_string(), value);
+            let mut gauges = lock(&inner.gauges);
+            match gauges.get_mut(name) {
+                Some(v) => *v = value,
+                None => {
+                    gauges.insert(name.to_string(), value);
+                }
+            }
         }
     }
 

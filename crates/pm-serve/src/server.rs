@@ -98,8 +98,14 @@ pub struct Server {
     flag: Arc<AtomicBool>,
 }
 
-/// Endpoint labels used for `serve.requests.*` / `serve.errors.*` counters.
-const ENDPOINTS: [&str; 16] = [
+/// Each endpoint label [`route`] answers with, and its `serve.requests.*`
+/// and `serve.errors.*` counter names.
+macro_rules! endpoints {
+    ($($label:literal),* $(,)?) => {
+        [$(($label, concat!("serve.requests.", $label), concat!("serve.errors.", $label))),*]
+    };
+}
+const ENDPOINTS: [(&str, &str, &str); 16] = endpoints![
     "healthz",
     "semantic",
     "annotate",
@@ -117,6 +123,15 @@ const ENDPOINTS: [&str; 16] = [
     "bad_request",
     "not_found",
 ];
+
+/// The request and error counter names of an endpoint label.
+fn endpoint_counters(endpoint: &str) -> (&'static str, &'static str) {
+    ENDPOINTS
+        .iter()
+        .find(|(label, ..)| *label == endpoint)
+        .map(|&(_, requests, errors)| (requests, errors))
+        .expect("route answers only with ENDPOINTS labels")
+}
 
 /// Cohort-layer counters pre-registered at zero so the `/v1/stats` schema
 /// is stable before the first per-user query: per-endpoint serve tallies,
@@ -203,9 +218,9 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         // Pre-register every counter at zero so /v1/stats has a stable
         // schema even before the first request.
-        for ep in ENDPOINTS {
-            obs.incr(&format!("serve.requests.{ep}"), 0);
-            obs.incr(&format!("serve.errors.{ep}"), 0);
+        for (_, requests, errors) in ENDPOINTS {
+            obs.incr(requests, 0);
+            obs.incr(errors, 0);
         }
         for name in STREAM_COUNTERS {
             obs.incr(name, 0);
@@ -327,9 +342,10 @@ fn handle_connection(stream: TcpStream, state: &ServeState, obs: &Obs, config: &
                 (status, body, endpoint, req.close)
             }
         };
-        obs.incr(&format!("serve.requests.{endpoint}"), 1);
+        let (requests, errors) = endpoint_counters(endpoint);
+        obs.incr(requests, 1);
         if status >= 400 {
-            obs.incr(&format!("serve.errors.{endpoint}"), 1);
+            obs.incr(errors, 1);
         }
         served += 1;
         // Error statuses close too: the request body may not have been
@@ -365,7 +381,8 @@ fn parse_body(req: &Request) -> Result<json::Json, String> {
     json::parse(json::body_text(&req.body)?).map_err(|e| format!("invalid JSON: {e}"))
 }
 
-/// Maps a parsed request onto the shared state.
+/// Maps a parsed request onto the shared state. The label it answers with
+/// names one of [`ENDPOINTS`].
 fn route(
     state: &ServeState,
     obs: &Obs,

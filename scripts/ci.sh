@@ -251,6 +251,7 @@ if [ "$have_baseline" = 1 ]; then
             "serve /v1/live/patterns|serve live_patterns median_ms|ms|lower" \
             "ingest|ingest - fixes_per_sec|fixes/s|higher" \
             "motif mining|motifs - build_ms|ms|lower" \
+            "cohort embedding|cohorts - embed_ms|ms|lower" \
             "cohort clustering|cohorts - cluster_ms|ms|lower" \
             "similar query p50 (cohort scope)|cohorts - cohort_scope_p50_ms|ms|lower"; do
             label="${row%%|*}"
