@@ -282,30 +282,26 @@ impl Centroids {
     fn dist_sq(&self, r: &[(usize, f64)], c: usize) -> f64 {
         let m = &self.values[c * self.dims..(c + 1) * self.dims];
         let mut acc = 0.0;
-        if r.len() == self.dims {
-            // A full row lists every dim in order: the dense loop.
-            for (&(_, x), y) in r.iter().zip(m) {
-                let d = x - y;
+        let mut rest = self.support[c].as_slice();
+        for &(dim, x) in r {
+            // Centroid-only dims below `dim` first; `dim` itself, when the
+            // centroid has it too, is the row's term below.
+            while let Some((&s, tail)) = rest.split_first() {
+                if s > dim {
+                    break;
+                }
+                rest = tail;
+                if s == dim {
+                    break;
+                }
+                let d = 0.0 - m[s];
                 acc += d * d;
             }
-            return acc;
-        }
-        let support = &self.support[c];
-        let (mut i, mut j) = (0, 0);
-        while i < r.len() || j < support.len() {
-            let row_dim = r.get(i).map_or(usize::MAX, |e| e.0);
-            let centroid_dim = support.get(j).copied().unwrap_or(usize::MAX);
-            let dim = row_dim.min(centroid_dim);
-            let x = if row_dim == dim {
-                i += 1;
-                r[i - 1].1
-            } else {
-                0.0
-            };
-            if centroid_dim == dim {
-                j += 1;
-            }
             let d = x - m[dim];
+            acc += d * d;
+        }
+        for &s in rest {
+            let d = 0.0 - m[s];
             acc += d * d;
         }
         acc
@@ -743,7 +739,7 @@ mod tests {
             ),
             picks in prop::collection::vec(0usize..1_000, 0..90),
             poison in prop::collection::vec((0usize..1_000, 0usize..240, 0u8..3), 0..5),
-            dims in (0u8..8).prop_map(|c| match c {
+            dims in (0u8..9).prop_map(|c| match c {
                 0 | 1 => 240,
                 2 => 2,
                 c => c as usize - 2,
